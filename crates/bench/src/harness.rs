@@ -987,8 +987,8 @@ pub fn bench_pr7(scale: Scale, out_path: &str) {
             let hit_rate = index
                 .sentinel_state()
                 .map_or(0.0, |st| st.hit_rate(chunk_size));
-            let (_, r1, r2, _) = index.into_pool_parts();
-            let mean_size = (mean_tail(&r1) + mean_tail(&r2)) / 2.0;
+            let mean_size =
+                (mean_tail(index.selection_pool()) + mean_tail(index.validation_pool())) / 2.0;
             if slot == 0 {
                 witness.0 = mean_size;
             } else {

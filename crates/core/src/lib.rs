@@ -30,7 +30,6 @@ pub mod certificate;
 pub mod coverage;
 pub mod error;
 pub mod options;
-pub mod pool;
 pub mod result;
 pub mod sentinel;
 
@@ -38,12 +37,8 @@ pub use algorithms::{Celf, Dssa, Hist, Imm, McGreedy, OpimC, Ssa, TimPlus};
 pub use certificate::{certify_seed_set, certify_seed_set_auto, InfluenceCertificate};
 pub use error::ImError;
 pub use options::ImOptions;
-pub use pool::{
-    evaluate_pool, evaluate_pool_par, evaluate_pool_sharded, evaluate_pool_sharded_indexed,
-    evaluate_pool_timed, evaluate_pool_timed_par, PoolEvaluation,
-};
 pub use result::{ImResult, RunStats};
-pub use sentinel::{evaluate_pool_sentinel, evaluate_pool_sentinel_sharded, SentinelSet};
+pub use sentinel::SentinelSet;
 
 use subsim_graph::Graph;
 

@@ -4,8 +4,9 @@
 //! wrong for a mutating graph: the borrow would freeze the thing deltas
 //! must rewrite. [`DeltaIndex`] therefore *owns* a [`VersionedGraph`]
 //! plus the two pool halves and re-binds a transient sampler to the
-//! current CSR per operation. Query semantics mirror `RrIndex::query`
-//! bit for bit (same bounds, same growth schedule, same chunk streams),
+//! current CSR per operation. Queries run the same
+//! [`subsim_index::certified_query`] loop and growth step as `RrIndex`
+//! (same bounds, same growth schedule, same chunk streams),
 //! and [`DeltaIndex::apply_delta`] repairs the pool through
 //! [`crate::repair`] so every query after a delta sees a pool identical
 //! to a full rebuild on the new graph.
@@ -15,20 +16,15 @@ use crate::error::DeltaError;
 use crate::repair::{repair_pool, RepairReport};
 use crate::versioned::VersionedGraph;
 use std::path::Path;
-use std::time::Instant;
-use subsim_core::bounds::{i_max, theta_max_opim, theta_zero};
-use subsim_core::pool::evaluate_pool_timed_par;
-use subsim_core::sentinel::{evaluate_pool_sentinel, SentinelSet};
-use subsim_core::ImOptions;
+use std::time::{Duration, Instant};
 use subsim_diffusion::pool::WorkerPool;
 use subsim_diffusion::{RrCollection, RrSampler};
 use subsim_graph::Graph;
-use subsim_index::QueryStats;
 use subsim_index::{
-    IndexConfig, IndexError, IndexMetrics, MetricsSnapshot, QueryAnswer, RrIndex, SentinelState,
-    R2_STREAM, SENTINEL_WARMUP_CHUNKS,
+    certified_query, CertifiedPool, IndexConfig, IndexMetrics, MetricsSnapshot, PoolState,
+    PoolView, QueryAnswer, RrIndex, SentinelState,
 };
-use subsim_sketch::{evaluate_pool_sketched, SketchedPool, MAX_PRECISION};
+use subsim_sketch::SketchedPool;
 
 /// An RR-sketch index over a [`VersionedGraph`]: answers certified IM
 /// queries like [`RrIndex`] and absorbs graph deltas by incremental
@@ -53,15 +49,7 @@ use subsim_sketch::{evaluate_pool_sketched, SketchedPool, MAX_PRECISION};
 pub struct DeltaIndex {
     vg: VersionedGraph,
     config: IndexConfig,
-    r1: RrCollection,
-    r2: RrCollection,
-    /// RNG cursor: complete chunks generated per half.
-    chunks: u64,
-    /// Sentinel tier state (see [`subsim_index::SentinelState`]).
-    sentinel: Option<SentinelState>,
-    /// Sketched validation tier: when active, `r2` stays empty and the
-    /// validation half lives in per-node count-distinct sketches.
-    sketch: Option<SketchedPool>,
+    pool: PoolState,
     workers: WorkerPool,
     metrics: IndexMetrics,
 }
@@ -71,8 +59,8 @@ impl std::fmt::Debug for DeltaIndex {
         f.debug_struct("DeltaIndex")
             .field("version", &self.vg.version())
             .field("config", &self.config)
-            .field("chunks", &self.chunks)
-            .field("pool_len", &self.r1.len())
+            .field("chunks", &self.pool.chunks)
+            .field("pool_len", &self.pool.r1.len())
             .finish_non_exhaustive()
     }
 }
@@ -95,69 +83,18 @@ impl DeltaIndex {
             "sketch and sentinel tiers are mutually exclusive: truncated \
              sets would poison the count-distinct estimates"
         );
-        let n = vg.graph().n();
+        let pool = PoolState::empty(vg.graph().n(), &config);
+        Self::with_pool(vg, config, pool)
+    }
+
+    fn with_pool(vg: VersionedGraph, config: IndexConfig, pool: PoolState) -> Self {
         DeltaIndex {
             vg,
             config,
-            r1: RrCollection::new(n),
-            r2: RrCollection::new(n),
-            chunks: 0,
-            sentinel: None,
-            sketch: (config.sketch > 0)
-                .then(|| SketchedPool::new(n, config.chunk_size, config.sketch as u8)),
+            pool,
             workers: WorkerPool::new(config.threads),
             metrics: IndexMetrics::default(),
         }
-    }
-
-    /// Rebuilds an index from raw parts (pool halves must already be
-    /// whole chunks generated against `vg`'s current version).
-    pub(crate) fn from_raw_parts(
-        vg: VersionedGraph,
-        config: IndexConfig,
-        r1: RrCollection,
-        r2: RrCollection,
-        chunks: u64,
-        sentinel: Option<SentinelState>,
-        sketch: Option<SketchedPool>,
-    ) -> Self {
-        DeltaIndex {
-            vg,
-            config,
-            r1,
-            r2,
-            chunks,
-            sentinel,
-            sketch,
-            workers: WorkerPool::new(config.threads),
-            metrics: IndexMetrics::default(),
-        }
-    }
-
-    /// Decomposes into `(vg, config, r1, r2, chunks, sentinel, sketch)`,
-    /// dropping workers and metrics — the conversion point into
-    /// [`crate::ConcurrentDeltaIndex`].
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn into_raw_parts(
-        self,
-    ) -> (
-        VersionedGraph,
-        IndexConfig,
-        RrCollection,
-        RrCollection,
-        u64,
-        Option<SentinelState>,
-        Option<SketchedPool>,
-    ) {
-        (
-            self.vg,
-            self.config,
-            self.r1,
-            self.r2,
-            self.chunks,
-            self.sentinel,
-            self.sketch,
-        )
     }
 
     /// The CSR at the current version.
@@ -187,12 +124,12 @@ impl DeltaIndex {
 
     /// Sets per pool half.
     pub fn pool_len(&self) -> usize {
-        self.r1.len()
+        self.pool.r1.len()
     }
 
     /// The RNG cursor: complete chunks generated per half.
     pub fn chunk_cursor(&self) -> u64 {
-        self.chunks
+        self.pool.chunks
     }
 
     /// Test-only fault injection: forwards a chunk hook to the worker
@@ -204,22 +141,22 @@ impl DeltaIndex {
 
     /// The selection half `R₁` (read-only).
     pub fn selection_pool(&self) -> &RrCollection {
-        &self.r1
+        &self.pool.r1
     }
 
     /// The validation half `R₂` (read-only).
     pub fn validation_pool(&self) -> &RrCollection {
-        &self.r2
+        &self.pool.r2
     }
 
     /// The sentinel tier state, if active.
     pub fn sentinel_state(&self) -> Option<&SentinelState> {
-        self.sentinel.as_ref()
+        self.pool.sentinel.as_ref()
     }
 
     /// The sketched validation pool, if the sketch tier is active.
     pub fn sketch_state(&self) -> Option<&SketchedPool> {
-        self.sketch.as_ref()
+        self.pool.sketch.as_ref()
     }
 
     /// Serving metrics (queries, generation, repairs).
@@ -229,159 +166,17 @@ impl DeltaIndex {
 
     /// Pre-grows the pool to at least `sets` per half (whole chunks).
     pub fn warm(&mut self, sets: usize) -> Result<(), DeltaError> {
-        let g = self.vg.graph();
-        let sampler = RrSampler::new(g, self.config.strategy);
-        ensure_pool(
-            g,
-            &sampler,
-            &self.workers,
-            &self.config,
-            &self.metrics,
-            &mut self.r1,
-            &mut self.r2,
-            &mut self.chunks,
-            &mut self.sentinel,
-            &mut self.sketch,
-            sets,
-        )?;
+        self.grow_to(sets)?;
         Ok(())
     }
 
     /// Answers one certified IM query; semantics match
     /// [`RrIndex::query`] over the current graph version.
     pub fn query(&mut self, k: usize, epsilon: f64, delta: f64) -> Result<QueryAnswer, DeltaError> {
-        let g = self.vg.graph();
-        let opts = ImOptions::new(k).epsilon(epsilon).delta(delta);
-        opts.validate(g).map_err(IndexError::from)?;
-        let start = Instant::now();
-        let n = g.n();
-        let target = 1.0 - (-1.0f64).exp() - epsilon;
-        let theta_max = theta_max_opim(n, k, epsilon, delta);
-        let theta0 = theta_zero(delta);
-        let imax = i_max(theta_max, theta0);
-        let delta_iter = delta / (3.0 * imax as f64);
-
-        let sampler = RrSampler::new(g, self.config.strategy);
-        let pool_before = self.r1.len();
-        let mut fresh = ensure_pool(
-            g,
-            &sampler,
-            &self.workers,
-            &self.config,
-            &self.metrics,
-            &mut self.r1,
-            &mut self.r2,
-            &mut self.chunks,
-            &mut self.sentinel,
-            &mut self.sketch,
-            theta0 as usize,
-        )?;
-        let mut rounds = 0u32;
-        loop {
-            rounds += 1;
-            // Sentinel pools re-certify through the HIST-style round so
-            // the answer keeps the full (k, ε, δ) guarantee; sketched
-            // pools run the slack-adjusted round; plain pools run the
-            // standard OPIM round. `slack_failed` is the error-adaptive
-            // ladder trigger (sketched pools only).
-            let t = Instant::now();
-            let (seeds, lower, upper, slack_failed) = if let Some(sk) = &self.sketch {
-                let eval = evaluate_pool_sketched(
-                    &self.r1,
-                    sk,
-                    k,
-                    delta_iter,
-                    delta_iter,
-                    self.config.threads,
-                );
-                let slack = eval.failed_on_slack(target);
-                (eval.seeds, eval.lower, eval.upper, slack)
-            } else {
-                match self.sentinel.as_ref().filter(|st| !st.set.is_empty()) {
-                    Some(st) => {
-                        let eval = evaluate_pool_sentinel(
-                            &self.r1,
-                            &self.r2,
-                            &st.set,
-                            g,
-                            k,
-                            delta_iter,
-                            delta_iter,
-                            self.config.threads,
-                        );
-                        (eval.seeds, eval.lower, eval.upper, false)
-                    }
-                    None => {
-                        let (eval, _) = evaluate_pool_timed_par(
-                            &self.r1,
-                            &self.r2,
-                            k,
-                            delta_iter,
-                            delta_iter,
-                            self.config.threads,
-                        );
-                        (eval.seeds, eval.lower, eval.upper, false)
-                    }
-                }
-            };
-            self.metrics.record_selection(t.elapsed());
-            let certified = if upper <= 0.0 {
-                false
-            } else {
-                lower / upper > target
-            };
-            if certified || self.r1.len() as f64 >= theta_max {
-                let stats = QueryStats {
-                    k,
-                    epsilon,
-                    delta,
-                    pool_before,
-                    pool_after: self.r1.len(),
-                    fresh_sets: fresh,
-                    rounds,
-                    lower_bound: lower,
-                    upper_bound: upper,
-                    target_ratio: target,
-                    certified_by_bounds: certified,
-                    elapsed: start.elapsed(),
-                };
-                self.metrics.record_query(&stats);
-                return Ok(QueryAnswer { seeds, stats });
-            }
-            // Failing on slack means more samples cannot close the gap —
-            // promote register precision instead (bounded by
-            // MAX_PRECISION; past it, fall through to doubling and let
-            // theta_max terminate the loop).
-            if slack_failed && self.config.sketch < MAX_PRECISION as usize {
-                fresh += promote_sketch(
-                    &sampler,
-                    &self.workers,
-                    &mut self.config,
-                    &self.metrics,
-                    &mut self.sketch,
-                    self.chunks,
-                )?;
-                continue;
-            }
-            let next = self
-                .r1
-                .len()
-                .saturating_mul(2)
-                .min(theta_max.ceil() as usize);
-            fresh += ensure_pool(
-                g,
-                &sampler,
-                &self.workers,
-                &self.config,
-                &self.metrics,
-                &mut self.r1,
-                &mut self.r2,
-                &mut self.chunks,
-                &mut self.sentinel,
-                &mut self.sketch,
-                next,
-            )?;
-        }
+        let threads = self.config.threads;
+        let answer = certified_query(self, k, epsilon, delta, threads)?;
+        self.metrics.record_query(&answer.stats);
+        Ok(answer)
     }
 
     /// Applies `delta` to the graph and repairs the pool incrementally.
@@ -409,51 +204,19 @@ impl DeltaIndex {
         let start = Instant::now();
         let mut staged = self.vg.clone();
         staged.apply(delta)?;
-        let targets = delta.targets();
         let sampler = RrSampler::new(staged.graph(), self.config.strategy);
-        let chunk = self.config.chunk_size;
-        let threads = self.config.threads;
-        let out = repair_pool(
-            &self.r1,
-            &self.r2,
-            self.sentinel.as_ref(),
-            self.sketch.as_ref(),
-            self.chunks,
-            delta,
-            staged.graph(),
-            self.config.sentinels,
-            &sampler,
-            &self.workers,
-            chunk,
-            self.config.seed,
-            threads,
-        )?;
+        let out = repair_pool(&self.pool, delta, &sampler, &self.workers, &self.config)?;
         drop(sampler);
         self.vg = staged;
-        self.r1 = out.r1;
-        self.r2 = out.r2;
-        self.sentinel = out.sentinel;
-        self.sketch = out.sketch;
-        let dirty_chunks = out.dirty_chunks_r1 + out.dirty_chunks_r2;
-        let regenerated = dirty_chunks * chunk;
-        let report = RepairReport {
-            version: self.vg.version(),
-            targets: targets.len(),
-            dirty_sets_r1: out.dirty_sets_r1,
-            dirty_sets_r2: out.dirty_sets_r2,
-            dirty_chunks_r1: out.dirty_chunks_r1,
-            dirty_chunks_r2: out.dirty_chunks_r2,
-            regenerated_sets: regenerated,
-            pool_sets: self.r1.len()
-                + self
-                    .sketch
-                    .as_ref()
-                    .map_or(self.r2.len(), |sk| sk.len_sets()),
-            sentinel_refreshed: out.sentinel_refreshed,
-            elapsed: start.elapsed(),
-        };
-        self.metrics
-            .record_repair(regenerated as u64, dirty_chunks as u64, report.elapsed);
+        self.pool = out.pool;
+        let mut report = out.report;
+        report.version = self.vg.version();
+        report.elapsed = start.elapsed();
+        self.metrics.record_repair(
+            report.regenerated_sets as u64,
+            (report.dirty_chunks_r1 + report.dirty_chunks_r2) as u64,
+            report.elapsed,
+        );
         Ok(report)
     }
 
@@ -461,30 +224,13 @@ impl DeltaIndex {
     /// **current version's** fingerprint — a snapshot taken at version
     /// `t` loads only against the graph at version `t`.
     pub fn save_snapshot<P: AsRef<Path>>(&self, path: P) -> Result<(), DeltaError> {
-        let mut idx = match &self.sketch {
-            Some(sk) => RrIndex::from_sketched_parts(
-                self.vg.graph(),
-                self.config,
-                self.r1.clone(),
-                sk.clone(),
-                self.chunks,
-            )?,
-            None => RrIndex::from_pool_parts(
-                self.vg.graph(),
-                self.config,
-                self.r1.clone(),
-                self.r2.clone(),
-                self.chunks,
-            )?,
-        };
-        idx.set_sentinel_state(self.sentinel.clone())?;
-        idx.save_to_path(path)?;
+        RrIndex::from_state(self.vg.graph(), self.config, self.pool.clone())?.save_to_path(path)?;
         Ok(())
     }
 
     /// Builds an index over version 0 of `g` with the pool loaded from a
     /// snapshot. Fails with a typed
-    /// [`IndexError::SnapshotMismatch`] (wrapped in
+    /// [`subsim_index::IndexError::SnapshotMismatch`] (wrapped in
     /// [`DeltaError::Index`]) when the snapshot was taken at a different
     /// graph version — the fingerprint pins the exact edge set — or was
     /// generated under a different RR strategy than `config` asks for
@@ -496,167 +242,52 @@ impl DeltaIndex {
         path: P,
     ) -> Result<Self, DeltaError> {
         let vg = VersionedGraph::new(g)?;
-        let mut loaded = RrIndex::load_from_path(vg.graph(), path)?;
+        let loaded = RrIndex::load_from_path(vg.graph(), path)?;
         loaded.ensure_strategy(config.strategy)?;
-        let sentinel = loaded.take_sentinel_state();
-        let sketch = loaded.take_sketch_state();
-        let (loaded_config, r1, r2, chunks) = loaded.into_pool_parts();
-        Ok(DeltaIndex {
-            vg,
-            config: IndexConfig {
-                threads: config.threads,
-                max_nodes: config.max_nodes,
-                ..loaded_config
-            },
-            r1,
-            r2,
-            chunks,
-            sentinel,
-            sketch,
-            workers: WorkerPool::new(config.threads),
-            metrics: IndexMetrics::default(),
-        })
+        let (loaded_config, pool) = loaded.into_state();
+        let config = IndexConfig {
+            threads: config.threads,
+            max_nodes: config.max_nodes,
+            ..loaded_config
+        };
+        Ok(Self::with_pool(vg, config, pool))
     }
 }
 
-/// Grows both halves to at least `target_sets` each, continuing the chunk
-/// stream on the graph bound in `sampler` — the split-borrow form of
-/// [`RrIndex`]'s `ensure_pool`, shared by `warm` and the query loop.
-/// Mirrors the sentinel activation logic exactly: crossing the plain
-/// warmup prefix selects `Z` once over the plain chunks generated so
-/// far, and every later chunk runs through the Alg 5 stopping wrapper.
-#[allow(clippy::too_many_arguments)]
-fn ensure_pool(
-    g: &Graph,
-    sampler: &RrSampler<'_>,
-    workers: &WorkerPool,
-    config: &IndexConfig,
-    metrics: &IndexMetrics,
-    r1: &mut RrCollection,
-    r2: &mut RrCollection,
-    chunks: &mut u64,
-    sentinel: &mut Option<SentinelState>,
-    sketch: &mut Option<SketchedPool>,
-    target_sets: usize,
-) -> Result<usize, DeltaError> {
-    let chunk = config.chunk_size;
-    let needed_chunks = target_sets.div_ceil(chunk) as u64;
-    if needed_chunks <= *chunks {
-        return Ok(0);
-    }
-    let slice = (config.threads as u64) * 4;
-    let mut added = 0usize;
-    while *chunks < needed_chunks {
-        if let Some(cap) = config.max_nodes {
-            // A sketched R₂ counts its resident bytes in 4-byte
-            // node-entry equivalents, keeping the budget unit consistent.
-            let in_use = r1.total_nodes()
-                + r2.total_nodes()
-                + sketch
-                    .as_ref()
-                    .map_or(0, |sk| sk.resident_bytes() as usize / 4);
-            if in_use >= cap {
-                return Err(DeltaError::Index(IndexError::MemoryBudget {
-                    max_nodes: cap,
-                    in_use,
-                    wanted_sets: needed_chunks as usize * chunk,
-                }));
-            }
-        }
-        if config.sentinels > 0 && sentinel.is_none() && *chunks >= SENTINEL_WARMUP_CHUNKS {
-            *sentinel = Some(SentinelState {
-                set: SentinelSet::select(&[&*r1], g, config.sentinels),
-                from_chunk: *chunks,
-                chunk_hits_r1: vec![0; *chunks as usize],
-                chunk_hits_r2: vec![0; *chunks as usize],
-            });
-        }
-        let mut end = needed_chunks.min(*chunks + slice);
-        if config.sentinels > 0 && sentinel.is_none() {
-            // Still inside the warmup prefix: stop this slice at the
-            // boundary so the next iteration selects Z before any
-            // truncated chunk is generated.
-            end = end.min(SENTINEL_WARMUP_CHUNKS.max(*chunks + 1));
-        }
-        let z = sentinel
-            .as_ref()
-            .filter(|st| !st.set.is_empty())
-            .map(|st| st.set.nodes());
-        let truncating = z.is_some();
-        let b1 = workers.try_generate_chunks(sampler, z, *chunks..end, chunk, config.seed)?;
-        let b2 = workers.try_generate_chunks(
-            sampler,
-            z,
-            *chunks..end,
-            chunk,
-            config.seed ^ R2_STREAM,
-        )?;
-        if let Some(st) = sentinel.as_mut() {
-            st.chunk_hits_r1.extend_from_slice(&b1.chunk_hits);
-            st.chunk_hits_r2.extend_from_slice(&b2.chunk_hits);
-        }
-        let sets = (b1.rr.len() + b2.rr.len()) as u64;
-        let nodes = (b1.rr.total_nodes() + b2.rr.total_nodes()) as u64;
-        metrics.record_generation(sets, nodes, b1.cost + b2.cost, b1.elapsed + b2.elapsed);
-        if truncating {
-            metrics.record_sentinel(b1.sentinel_hits + b2.sentinel_hits, sets, nodes);
-        }
-        added += b1.rr.len() + b2.rr.len();
-        r1.extend_from(&b1.rr);
-        if let Some(sk) = sketch.as_mut() {
-            sk.absorb_batch(*chunks, &b2.rr);
-        } else {
-            r2.extend_from(&b2.rr);
-        }
-        *chunks = end;
-    }
-    Ok(added)
-}
+impl CertifiedPool for DeltaIndex {
+    type Error = DeltaError;
 
-/// Error-adaptive ladder step (the split-borrow form of `RrIndex`'s
-/// promotion): regenerates the entire `R₂` chunk stream at the next
-/// register precision and swaps the sketch. Chunk content is a pure
-/// function of `(seed, chunk id)`, so the rebuilt sketch is exactly what
-/// an index configured at the higher precision from the start would
-/// hold. Returns the number of regenerated sets.
-fn promote_sketch(
-    sampler: &RrSampler<'_>,
-    workers: &WorkerPool,
-    config: &mut IndexConfig,
-    metrics: &IndexMetrics,
-    sketch: &mut Option<SketchedPool>,
-    chunks: u64,
-) -> Result<usize, DeltaError> {
-    let old = sketch.as_ref().expect("promotion without a sketch");
-    let precision = old.precision() + 1;
-    assert!(precision <= MAX_PRECISION, "ladder past MAX_PRECISION");
-    let chunk = config.chunk_size;
-    let mut fresh = SketchedPool::new(old.graph_n(), chunk, precision);
-    let slice = (config.threads as u64) * 4;
-    let mut start = 0u64;
-    let mut regenerated = 0usize;
-    while start < chunks {
-        let end = chunks.min(start + slice);
-        let b = workers.try_generate_chunks(
-            sampler,
-            None,
-            start..end,
-            chunk,
-            config.seed ^ R2_STREAM,
-        )?;
-        metrics.record_generation(
-            b.rr.len() as u64,
-            b.rr.total_nodes() as u64,
-            b.cost,
-            b.elapsed,
-        );
-        regenerated += b.rr.len();
-        fresh.absorb_batch(start, &b.rr);
-        start = end;
+    fn view(&self) -> PoolView<'_> {
+        self.pool.view(self.vg.graph())
     }
-    config.sketch = precision as usize;
-    *sketch = Some(fresh);
-    Ok(regenerated)
+
+    fn grow_to(&mut self, target_sets: usize) -> Result<usize, DeltaError> {
+        let sampler = RrSampler::new(self.vg.graph(), self.config.strategy);
+        let metrics = &self.metrics;
+        Ok(self.pool.grow_to(
+            &sampler,
+            &self.workers,
+            &self.config,
+            target_sets,
+            &mut |b| metrics.record_generated(b),
+        )?)
+    }
+
+    fn promote_sketch(&mut self, _observed: u8) -> Result<usize, DeltaError> {
+        let sampler = RrSampler::new(self.vg.graph(), self.config.strategy);
+        let metrics = &self.metrics;
+        let regenerated =
+            self.pool
+                .promote_sketch(&sampler, &self.workers, &self.config, &mut |b| {
+                    metrics.record_generated(b)
+                })?;
+        self.config.sketch = self.pool.sketch.as_ref().map_or(0, |sk| sk.precision()) as usize;
+        Ok(regenerated)
+    }
+
+    fn record_selection(&self, elapsed: Duration) {
+        self.metrics.record_selection(elapsed);
+    }
 }
 
 #[cfg(test)]
@@ -665,6 +296,7 @@ mod tests {
     use subsim_diffusion::RrStrategy;
     use subsim_graph::generators::barabasi_albert;
     use subsim_graph::WeightModel;
+    use subsim_index::{IndexError, R2_STREAM};
 
     fn config() -> IndexConfig {
         IndexConfig::new(RrStrategy::SubsimIc)

@@ -28,13 +28,8 @@
 //!   [`DeltaIndex::apply_delta`] runs repair and re-certifies on the next
 //!   query without discarding clean samples. Snapshots save/load behind
 //!   the *versioned* fingerprint, so stale pools are rejected with a
-//!   typed error.
-//! - [`ConcurrentDeltaIndex`] — shared `&self` serving with deltas
-//!   interleaved: every published [`DeltaSnapshot`] pins one complete
-//!   `(graph version, pool)` state, and
-//!   [`ConcurrentDeltaIndex::query_at_version`] turns concurrent updates
-//!   into typed [`DeltaError::StaleVersion`] failures instead of silent
-//!   cross-version reads.
+//!   typed error. It is the model the concurrent, sharded serving index
+//!   (`subsim_serve::ShardedDeltaIndex`) is checked against.
 //! - [`serve_queries`] / [`ServeIndex`] — the line-oriented serving loop
 //!   shared by the CLI and the deterministic test simulator: interleaved
 //!   query and `delta` lines with per-line typed failures surfaced
@@ -42,7 +37,6 @@
 
 #![warn(missing_docs)]
 
-mod concurrent;
 mod delta;
 mod error;
 mod index;
@@ -50,7 +44,6 @@ mod repair;
 mod serve;
 mod versioned;
 
-pub use concurrent::{ConcurrentDeltaIndex, DeltaSnapshot};
 pub use delta::{DeltaOp, GraphDelta};
 pub use error::DeltaError;
 pub use index::DeltaIndex;

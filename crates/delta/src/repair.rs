@@ -35,8 +35,8 @@ use std::time::Duration;
 use subsim_core::SentinelSet;
 use subsim_diffusion::pool::{PoolError, WorkerPool};
 use subsim_diffusion::{InvertedIndex, RrCollection, RrSampler};
-use subsim_graph::{Graph, NodeId};
-use subsim_index::{SentinelState, R2_STREAM};
+use subsim_graph::NodeId;
+use subsim_index::{IndexConfig, PoolState, SentinelState, R2_STREAM};
 use subsim_sketch::SketchedPool;
 
 /// What one repair (via [`repair_half`] on both halves, as
@@ -397,22 +397,45 @@ pub fn repair_sketch(
     })
 }
 
-/// Everything a delta commit needs back from [`repair_pool`].
-pub(crate) struct PoolRepairOutcome {
-    pub r1: RrCollection,
-    pub r2: RrCollection,
-    pub sentinel: Option<SentinelState>,
-    pub sketch: Option<SketchedPool>,
-    pub dirty_sets_r1: usize,
-    pub dirty_sets_r2: usize,
-    pub dirty_chunks_r1: usize,
-    pub dirty_chunks_r2: usize,
-    pub sentinel_refreshed: bool,
+/// The repaired pool plus the report's repair counts (the caller stamps
+/// `version` and `elapsed`).
+pub(crate) struct RepairedPool {
+    pub pool: PoolState,
+    pub report: RepairReport,
+}
+
+impl RepairedPool {
+    fn new(
+        pool: PoolState,
+        targets: usize,
+        dirty_sets: [usize; 2],
+        dirty_chunks: [usize; 2],
+        sentinel_refreshed: bool,
+        chunk_size: usize,
+    ) -> Self {
+        let pool_sets = pool.r1.len()
+            + pool
+                .sketch
+                .as_ref()
+                .map_or(pool.r2.len(), |sk| sk.len_sets());
+        let report = RepairReport {
+            targets,
+            dirty_sets_r1: dirty_sets[0],
+            dirty_sets_r2: dirty_sets[1],
+            dirty_chunks_r1: dirty_chunks[0],
+            dirty_chunks_r2: dirty_chunks[1],
+            regenerated_sets: (dirty_chunks[0] + dirty_chunks[1]) * chunk_size,
+            pool_sets,
+            sentinel_refreshed,
+            ..RepairReport::default()
+        };
+        RepairedPool { pool, report }
+    }
 }
 
 /// Repairs both pool halves — and the sentinel tier, if present —
-/// against the new graph bound in `sampler`. The shared engine behind
-/// [`crate::DeltaIndex::apply_delta`] and the concurrent wrapper.
+/// against the new graph bound in `sampler`: the engine behind
+/// [`crate::DeltaIndex::apply_delta`].
 ///
 /// Without a sentinel this is two [`repair_half`] calls (bit-exact
 /// rebuild equivalence). With a sentinel whose set `Z` is untouched by
@@ -426,136 +449,119 @@ pub(crate) struct PoolRepairOutcome {
 /// contract holds throughout — every stored set remains a valid sample
 /// of the new graph and bounds re-derive per query — but bit-equivalence
 /// to a fresh rebuild is not promised for a refreshed suffix.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn repair_pool(
-    r1: &RrCollection,
-    r2: &RrCollection,
-    sentinel: Option<&SentinelState>,
-    sketch: Option<&SketchedPool>,
-    chunks: u64,
+    pool: &PoolState,
     delta: &GraphDelta,
-    g_new: &Graph,
-    sentinel_budget: usize,
     sampler: &RrSampler<'_>,
     workers: &WorkerPool,
-    chunk_size: usize,
-    seed: u64,
-    threads: usize,
-) -> Result<PoolRepairOutcome, PoolError> {
+    config: &IndexConfig,
+) -> Result<RepairedPool, PoolError> {
     let targets = delta.targets();
+    let (chunk_size, seed, threads) = (config.chunk_size, config.seed, config.threads);
+    let repaired = |r1, r2, sentinel, sketch, dirty_sets, dirty_chunks, refreshed| {
+        RepairedPool::new(
+            PoolState {
+                r1,
+                r2,
+                chunks: pool.chunks,
+                sentinel,
+                sketch,
+            },
+            targets.len(),
+            dirty_sets,
+            dirty_chunks,
+            refreshed,
+            chunk_size,
+        )
+    };
+    let half = |rr: &RrCollection, seed| {
+        repair_half(rr, &targets, sampler, workers, chunk_size, seed, threads)
+    };
     // Sketched validation tier (mutually exclusive with sentinels): R₁
     // repairs exactly, the sketch repairs chunk-wise on the same
     // membership predicate. The sketch cannot count individual dirty
     // sets, so `dirty_sets_r2` reports the regenerated whole chunks'
     // set count (what was actually redrawn).
-    if let Some(sk) = sketch {
-        let h1 = repair_half(r1, &targets, sampler, workers, chunk_size, seed, threads)?;
+    if let Some(sk) = &pool.sketch {
+        let h1 = half(&pool.r1, seed)?;
         let rs = repair_sketch(sk, &targets, sampler, workers, seed ^ R2_STREAM)?;
-        return Ok(PoolRepairOutcome {
-            r1: h1.rr,
-            r2: r2.clone(),
-            sentinel: None,
-            sketch: Some(rs.sketch),
-            dirty_sets_r1: h1.dirty_sets,
-            dirty_sets_r2: rs.dirty_chunks * chunk_size,
-            dirty_chunks_r1: h1.dirty_chunks,
-            dirty_chunks_r2: rs.dirty_chunks,
-            sentinel_refreshed: false,
-        });
+        return Ok(repaired(
+            h1.rr,
+            pool.r2.clone(),
+            None,
+            Some(rs.sketch),
+            [h1.dirty_sets, rs.dirty_chunks * chunk_size],
+            [h1.dirty_chunks, rs.dirty_chunks],
+            false,
+        ));
     }
-    let Some(st) = sentinel.filter(|st| !st.set.is_empty()) else {
-        let h1 = repair_half(r1, &targets, sampler, workers, chunk_size, seed, threads)?;
-        let h2 = repair_half(
-            r2,
-            &targets,
-            sampler,
-            workers,
-            chunk_size,
-            seed ^ R2_STREAM,
-            threads,
-        )?;
-        return Ok(PoolRepairOutcome {
-            r1: h1.rr,
-            r2: h2.rr,
-            sentinel: sentinel.cloned(),
-            sketch: None,
-            dirty_sets_r1: h1.dirty_sets,
-            dirty_sets_r2: h2.dirty_sets,
-            dirty_chunks_r1: h1.dirty_chunks,
-            dirty_chunks_r2: h2.dirty_chunks,
-            sentinel_refreshed: false,
-        });
+    let Some(st) = pool.sentinel.as_ref().filter(|st| !st.set.is_empty()) else {
+        let h1 = half(&pool.r1, seed)?;
+        let h2 = half(&pool.r2, seed ^ R2_STREAM)?;
+        return Ok(repaired(
+            h1.rr,
+            h2.rr,
+            pool.sentinel.clone(),
+            None,
+            [h1.dirty_sets, h2.dirty_sets],
+            [h1.dirty_chunks, h2.dirty_chunks],
+            false,
+        ));
     };
     let stale = delta.ops().iter().any(|op| {
         let (u, v) = op.endpoints();
         st.set.contains(u) || st.set.contains(v)
     });
     if !stale {
-        let h1 = repair_half_sentinel(
-            r1,
-            &targets,
-            st.set.nodes(),
-            st.from_chunk,
-            &st.chunk_hits_r1,
-            sampler,
-            workers,
-            chunk_size,
-            seed,
-            threads,
-        )?;
-        let h2 = repair_half_sentinel(
-            r2,
-            &targets,
-            st.set.nodes(),
-            st.from_chunk,
-            &st.chunk_hits_r2,
-            sampler,
-            workers,
-            chunk_size,
-            seed ^ R2_STREAM,
-            threads,
-        )?;
-        return Ok(PoolRepairOutcome {
-            r1: h1.rr,
-            r2: h2.rr,
-            sentinel: Some(SentinelState {
-                set: st.set.clone(),
-                from_chunk: st.from_chunk,
-                chunk_hits_r1: h1.chunk_hits,
-                chunk_hits_r2: h2.chunk_hits,
-            }),
-            sketch: None,
-            dirty_sets_r1: h1.dirty_sets,
-            dirty_sets_r2: h2.dirty_sets,
-            dirty_chunks_r1: h1.dirty_chunks,
-            dirty_chunks_r2: h2.dirty_chunks,
-            sentinel_refreshed: false,
-        });
+        let sentinel_half = |rr: &RrCollection, hits: &[u64], seed| {
+            repair_half_sentinel(
+                rr,
+                &targets,
+                st.set.nodes(),
+                st.from_chunk,
+                hits,
+                sampler,
+                workers,
+                chunk_size,
+                seed,
+                threads,
+            )
+        };
+        let h1 = sentinel_half(&pool.r1, &st.chunk_hits_r1, seed)?;
+        let h2 = sentinel_half(&pool.r2, &st.chunk_hits_r2, seed ^ R2_STREAM)?;
+        let sentinel = SentinelState {
+            set: st.set.clone(),
+            from_chunk: st.from_chunk,
+            chunk_hits_r1: h1.chunk_hits,
+            chunk_hits_r2: h2.chunk_hits,
+        };
+        return Ok(repaired(
+            h1.rr,
+            h2.rr,
+            Some(sentinel),
+            None,
+            [h1.dirty_sets, h2.dirty_sets],
+            [h1.dirty_chunks, h2.dirty_chunks],
+            false,
+        ));
     }
     // Stale sentinel: repair the plain prefix exactly, re-select Z' over
     // it, then regenerate the whole truncated suffix under Z'.
-    let n = r1.graph_n();
+    let n = pool.r1.graph_n();
     let prefix_sets = (st.from_chunk as usize) * chunk_size;
     let mut p1 = RrCollection::new(n);
-    p1.extend_from_range(r1, 0..prefix_sets);
+    p1.extend_from_range(&pool.r1, 0..prefix_sets);
     let mut p2 = RrCollection::new(n);
-    p2.extend_from_range(r2, 0..prefix_sets);
-    let h1 = repair_half(&p1, &targets, sampler, workers, chunk_size, seed, threads)?;
-    let h2 = repair_half(
-        &p2,
-        &targets,
-        sampler,
-        workers,
-        chunk_size,
-        seed ^ R2_STREAM,
-        threads,
-    )?;
-    let budget = if sentinel_budget > 0 {
-        sentinel_budget
+    p2.extend_from_range(&pool.r2, 0..prefix_sets);
+    let h1 = half(&p1, seed)?;
+    let h2 = half(&p2, seed ^ R2_STREAM)?;
+    let budget = if config.sentinels > 0 {
+        config.sentinels
     } else {
         st.set.len()
     };
-    let fresh = SentinelSet::select(&[&h1.rr], g_new, budget);
+    let fresh = SentinelSet::select(&[&h1.rr], sampler.graph(), budget);
+    let chunks = pool.chunks;
     let suffix_chunks = chunks.saturating_sub(st.from_chunk) as usize;
     let mut out1 = h1.rr;
     let mut out2 = h2.rr;
@@ -582,22 +588,24 @@ pub(crate) fn repair_pool(
         out1.extend_from(&b1.rr);
         out2.extend_from(&b2.rr);
     }
-    Ok(PoolRepairOutcome {
-        r1: out1,
-        r2: out2,
-        sentinel: Some(SentinelState {
-            set: fresh,
-            from_chunk: st.from_chunk,
-            chunk_hits_r1: hits1,
-            chunk_hits_r2: hits2,
-        }),
-        sketch: None,
-        dirty_sets_r1: h1.dirty_sets,
-        dirty_sets_r2: h2.dirty_sets,
-        dirty_chunks_r1: h1.dirty_chunks + suffix_chunks,
-        dirty_chunks_r2: h2.dirty_chunks + suffix_chunks,
-        sentinel_refreshed: true,
-    })
+    let sentinel = SentinelState {
+        set: fresh,
+        from_chunk: st.from_chunk,
+        chunk_hits_r1: hits1,
+        chunk_hits_r2: hits2,
+    };
+    Ok(repaired(
+        out1,
+        out2,
+        Some(sentinel),
+        None,
+        [h1.dirty_sets, h2.dirty_sets],
+        [
+            h1.dirty_chunks + suffix_chunks,
+            h2.dirty_chunks + suffix_chunks,
+        ],
+        true,
+    ))
 }
 
 #[cfg(test)]

@@ -25,10 +25,8 @@
 //! decide between stderr logging (the CLI) and structured assertions
 //! (tests).
 
-use crate::delta::GraphDelta;
 use crate::error::DeltaError;
 use crate::repair::RepairReport;
-use crate::ConcurrentDeltaIndex;
 use std::collections::BTreeMap;
 use std::io::BufRead;
 use std::sync::{mpsc, Mutex};
@@ -249,38 +247,6 @@ impl ServeIndex for ConcurrentRrIndex<'_> {
     }
 }
 
-impl ServeIndex for ConcurrentDeltaIndex {
-    fn run_query(
-        &self,
-        k: usize,
-        epsilon: f64,
-        delta: f64,
-        pin: Option<u64>,
-    ) -> Result<QueryAnswer, ServeError> {
-        match pin {
-            Some(version) => Ok(self.query_at_version(version, k, epsilon, delta)?),
-            None => Ok(self.query(k, epsilon, delta)?),
-        }
-    }
-
-    fn apply_delta_line(&self, op: &str) -> Result<RepairReport, ServeError> {
-        let parsed = GraphDelta::parse_line(op)
-            .map_err(ServeError::Delta)?
-            .ok_or_else(|| {
-                ServeError::Delta(DeltaError::Parse {
-                    message: "empty delta line".into(),
-                })
-            })?;
-        let mut delta = GraphDelta::new();
-        delta.push(parsed);
-        Ok(self.apply_delta(&delta)?)
-    }
-
-    fn version(&self) -> Option<u64> {
-        Some(ConcurrentDeltaIndex::version(self))
-    }
-}
-
 /// One parsed query line, tagged with its position in the input so
 /// answers can be re-serialized in input order.
 struct Job {
@@ -490,13 +456,50 @@ mod tests {
         }
     }
 
-    fn delta_index() -> ConcurrentDeltaIndex {
+    /// A delta-stream index for the loop: the sequential model behind a
+    /// lock (the concurrent serving index lives downstream, in
+    /// `subsim-serve`).
+    struct Locked(StdMutex<crate::DeltaIndex>);
+
+    impl ServeIndex for Locked {
+        fn run_query(
+            &self,
+            k: usize,
+            epsilon: f64,
+            delta: f64,
+            pin: Option<u64>,
+        ) -> Result<QueryAnswer, ServeError> {
+            let mut index = self.0.lock().unwrap();
+            if let Some(requested) = pin.filter(|&v| v != index.version()) {
+                return Err(ServeError::Delta(DeltaError::StaleVersion {
+                    requested,
+                    current: index.version(),
+                }));
+            }
+            Ok(index.query(k, epsilon, delta)?)
+        }
+
+        fn apply_delta_line(&self, op: &str) -> Result<RepairReport, ServeError> {
+            let op = crate::GraphDelta::parse_line(op)?.ok_or(DeltaError::Parse {
+                message: "empty delta line".into(),
+            })?;
+            let mut delta = crate::GraphDelta::new();
+            delta.push(op);
+            Ok(self.0.lock().unwrap().apply_delta(&delta)?)
+        }
+
+        fn version(&self) -> Option<u64> {
+            Some(self.0.lock().unwrap().version())
+        }
+    }
+
+    fn delta_index() -> Locked {
         let g = barabasi_albert(120, 3, WeightModel::Wc, 7);
         let config = IndexConfig::new(RrStrategy::SubsimIc)
             .seed(3)
             .chunk_size(64)
             .threads(2);
-        ConcurrentDeltaIndex::new(g, config).unwrap()
+        Locked(StdMutex::new(crate::DeltaIndex::new(g, config).unwrap()))
     }
 
     fn lines(out: &[u8]) -> Vec<String> {
@@ -663,6 +666,6 @@ mod tests {
             "{events:?}"
         );
         // The index is still fully queryable after the failed session.
-        assert!(index.query(2, 0.2, 0.05).is_ok());
+        assert!(index.run_query(2, 0.2, 0.05, None).is_ok());
     }
 }

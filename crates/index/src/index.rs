@@ -1,16 +1,14 @@
 //! The amortized RR-sketch index.
 
+use crate::certify::{certified_query, CertifiedPool, PoolView};
 use crate::error::IndexError;
+use crate::pool::PoolState;
 use crate::stats::{IndexCounters, QueryStats};
-use std::time::Instant;
-use subsim_core::bounds::{i_max, theta_max_opim, theta_zero};
-use subsim_core::pool::evaluate_pool_par;
-use subsim_core::sentinel::{evaluate_pool_sentinel, SentinelSet};
-use subsim_core::ImOptions;
+use subsim_core::sentinel::SentinelSet;
 use subsim_diffusion::pool::{ChunkHook, WorkerPool};
 use subsim_diffusion::{RrCollection, RrSampler, RrStrategy};
 use subsim_graph::{Graph, NodeId};
-use subsim_sketch::{evaluate_pool_sketched, SketchedPool, MAX_PRECISION, MIN_PRECISION};
+use subsim_sketch::{SketchedPool, MAX_PRECISION, MIN_PRECISION};
 
 /// Stream separator between the two pool halves: `R₂`'s chunk seeds are
 /// derived from `seed ^ R2_STREAM` so the halves are independent samples.
@@ -120,17 +118,18 @@ pub struct IndexConfig {
     /// [`SENTINEL_WARMUP_CHUNKS`] plain chunks, selects `b` sentinels
     /// over them, and generates every later chunk under Algorithm 5
     /// truncation — warm queries re-certify the OPIM union bound through
-    /// `subsim_core::sentinel`, keeping the full `(k, ε, δ)` guarantee.
+    /// the sentinel round of [`mod@crate::certify`], keeping the full
+    /// `(k, ε, δ)` guarantee.
     pub sentinels: usize,
     /// Sketched validation-pool tier: `0` (the default) keeps `R₂` an
     /// exact arena; a value in
     /// [`MIN_PRECISION`]`..=`[`MAX_PRECISION`] compresses `R₂`
     /// into per-node count-distinct sketches at that register precision
     /// (`m = 2^p` registers). Selection stays exact, the Eq. 1 bound is
-    /// evaluated through `subsim_sketch::evaluate_pool_sketched` with
-    /// conservative slack, and queries that fail *on slack* promote the
-    /// precision (the error-adaptive ladder) by regenerating the
-    /// deterministic `R₂` stream. Mutually exclusive with `sentinels`
+    /// evaluated from the sketches' union estimate with conservative
+    /// slack (see [`mod@crate::certify`]), and queries that fail *on
+    /// slack* promote the precision (the error-adaptive ladder) by regenerating
+    /// the deterministic `R₂` stream. Mutually exclusive with `sentinels`
     /// (truncated sets would poison the cardinality estimates).
     ///
     /// Promotion updates this field: it always names the precision of
@@ -239,35 +238,23 @@ pub struct QueryAnswer {
 pub struct RrIndex<'g> {
     pub(crate) g: &'g Graph,
     pub(crate) config: IndexConfig,
-    pub(crate) sampler: RrSampler<'g>,
-    /// Selection half (greedy + Eq. 2).
-    pub(crate) r1: RrCollection,
-    /// Validation half (Eq. 1).
-    pub(crate) r2: RrCollection,
-    /// RNG cursor: complete chunks generated per half.
-    pub(crate) chunks: u64,
-    /// Sentinel tier state; `None` while the pool is fully plain (tier
-    /// disabled, or still inside the warmup prefix).
-    pub(crate) sentinel: Option<SentinelState>,
-    /// Sketched validation pool; `Some` exactly when
-    /// [`IndexConfig::sketch`] `> 0`, in which case `r2` stays empty and
-    /// every generated `R₂` chunk is absorbed here instead.
-    pub(crate) sketch: Option<SketchedPool>,
-    pub(crate) counters: IndexCounters,
+    sampler: RrSampler<'g>,
+    pub(crate) pool: PoolState,
+    counters: IndexCounters,
     /// Persistent generation workers, spawned on the first top-up and
     /// reused across growth rounds (rebuilt if `threads` changes).
-    pub(crate) workers: Option<WorkerPool>,
+    workers: Option<WorkerPool>,
     /// Fault-injection hook forwarded to the workers on every top-up.
-    pub(crate) chunk_hook: Option<ChunkHook>,
+    chunk_hook: Option<ChunkHook>,
 }
 
 impl std::fmt::Debug for RrIndex<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RrIndex")
             .field("config", &self.config)
-            .field("chunks", &self.chunks)
-            .field("r1_sets", &self.r1.len())
-            .field("r2_sets", &self.r2.len())
+            .field("chunks", &self.pool.chunks)
+            .field("r1_sets", &self.pool.r1.len())
+            .field("r2_sets", &self.pool.r2.len())
             .finish_non_exhaustive()
     }
 }
@@ -283,44 +270,80 @@ impl<'g> RrIndex<'g> {
             "sketch and sentinel tiers are mutually exclusive: truncated \
              sets would poison the count-distinct estimates"
         );
+        Self::with_pool(g, config, PoolState::empty(g.n(), &config))
+    }
+
+    fn with_pool(g: &'g Graph, config: IndexConfig, pool: PoolState) -> Self {
         RrIndex {
             g,
             config,
             sampler: RrSampler::new(g, config.strategy),
-            r1: RrCollection::new(g.n()),
-            r2: RrCollection::new(g.n()),
-            chunks: 0,
-            sentinel: None,
-            sketch: (config.sketch > 0)
-                .then(|| SketchedPool::new(g.n(), config.chunk_size, config.sketch as u8)),
+            pool,
             counters: IndexCounters::default(),
             workers: None,
             chunk_hook: None,
         }
     }
 
-    /// Rebuilds an index from snapshot parts (pool halves must already be
-    /// validated against `g` and `chunks`).
-    pub(crate) fn from_parts(
+    /// Rebuilds an index from an externally held pool — the seam for
+    /// pool owners outside the borrow (snapshot loading, the delta-repair
+    /// engine, the concurrent and sharded serving layers). Validates the
+    /// chunk accounting: `R₁` holds exactly `chunks · chunk_size` sets
+    /// over `g`, and so does `R₂` unless a sketch holds the validation
+    /// half (then `R₂` is empty); the tier states must pass
+    /// [`RrIndex::set_sentinel_state`] and [`RrIndex::set_sketch_state`].
+    /// A sketch sets `config.sketch` to its precision.
+    pub fn from_state(
         g: &'g Graph,
         config: IndexConfig,
-        r1: RrCollection,
-        r2: RrCollection,
-        chunks: u64,
-    ) -> Self {
-        RrIndex {
-            g,
-            config,
-            sampler: RrSampler::new(g, config.strategy),
+        state: PoolState,
+    ) -> Result<Self, IndexError> {
+        let PoolState {
+            r1,
+            r2,
+            chunks,
+            sentinel,
+            sketch,
+        } = state;
+        let mismatch = |reason: String| IndexError::SnapshotMismatch { reason };
+        if r1.graph_n() != g.n() || r2.graph_n() != g.n() {
+            return Err(mismatch(format!(
+                "pool halves are over {}/{} nodes, graph has {}",
+                r1.graph_n(),
+                r2.graph_n(),
+                g.n()
+            )));
+        }
+        let expect = chunks as usize * config.chunk_size;
+        let expect_r2 = if sketch.is_some() { 0 } else { expect };
+        if r1.len() != expect || r2.len() != expect_r2 {
+            return Err(mismatch(format!(
+                "pool halves hold {}/{} sets, chunk cursor {} × chunk size {} requires {}/{}",
+                r1.len(),
+                r2.len(),
+                chunks,
+                config.chunk_size,
+                expect,
+                expect_r2
+            )));
+        }
+        let pool = PoolState {
             r1,
             r2,
             chunks,
             sentinel: None,
             sketch: None,
-            counters: IndexCounters::default(),
-            workers: None,
-            chunk_hook: None,
-        }
+        };
+        let mut index = Self::with_pool(g, config, pool);
+        index.set_sentinel_state(sentinel)?;
+        index.set_sketch_state(sketch)?;
+        Ok(index)
+    }
+
+    /// Decomposes the index into its configuration and pool — the inverse
+    /// of [`RrIndex::from_state`]. Lifetime counters are dropped.
+    pub fn into_state(self) -> (IndexConfig, PoolState) {
+        (self.config, self.pool)
     }
 
     /// Installs (or clears) a fault-injection hook on the generation
@@ -334,153 +357,31 @@ impl<'g> RrIndex<'g> {
         }
     }
 
-    /// Decomposes the index into `(graph, config, r1, r2, chunks,
-    /// sentinel, sketch)`, dropping the sampler and lifetime counters —
-    /// the conversion point into [`crate::ConcurrentRrIndex`].
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn into_parts(
-        self,
-    ) -> (
-        &'g Graph,
-        IndexConfig,
-        RrCollection,
-        RrCollection,
-        u64,
-        Option<SentinelState>,
-        Option<SketchedPool>,
-    ) {
-        (
-            self.g,
-            self.config,
-            self.r1,
-            self.r2,
-            self.chunks,
-            self.sentinel,
-            self.sketch,
-        )
-    }
-
-    /// Rebuilds an index from externally held pool halves, validating the
-    /// chunk accounting: both halves must be over `g` and hold exactly
-    /// `chunks * config.chunk_size` sets.
-    ///
-    /// This is the seam for pool owners outside the borrow (the
-    /// delta-repair engine hands its repaired halves to a transient
-    /// `RrIndex` for querying and snapshotting).
-    pub fn from_pool_parts(
-        g: &'g Graph,
-        config: IndexConfig,
-        r1: RrCollection,
-        r2: RrCollection,
-        chunks: u64,
-    ) -> Result<Self, IndexError> {
-        let expect = chunks as usize * config.chunk_size;
-        if r1.graph_n() != g.n() || r2.graph_n() != g.n() {
-            return Err(IndexError::SnapshotMismatch {
-                reason: format!(
-                    "pool halves are over {}/{} nodes, graph has {}",
-                    r1.graph_n(),
-                    r2.graph_n(),
-                    g.n()
-                ),
-            });
-        }
-        if r1.len() != expect || r2.len() != expect {
-            return Err(IndexError::SnapshotMismatch {
-                reason: format!(
-                    "pool halves hold {}/{} sets, chunk cursor {} × chunk size {} requires {}",
-                    r1.len(),
-                    r2.len(),
-                    chunks,
-                    config.chunk_size,
-                    expect
-                ),
-            });
-        }
-        Ok(Self::from_parts(g, config, r1, r2, chunks))
-    }
-
-    /// Decomposes the index into `(config, r1, r2, chunks)` — the inverse
-    /// of [`RrIndex::from_pool_parts`] for callers that own the graph
-    /// separately. A sketched index's `r2` is empty; take the sketch with
-    /// [`RrIndex::take_sketch_state`] first.
-    pub fn into_pool_parts(self) -> (IndexConfig, RrCollection, RrCollection, u64) {
-        (self.config, self.r1, self.r2, self.chunks)
-    }
-
-    /// Rebuilds a *sketched* index from externally held parts: the exact
-    /// selection half plus the sketched validation pool. Validates the
-    /// chunk accounting on both (the sketch must cover exactly chunks
-    /// `0..chunks` at the pool's chunk size).
-    pub fn from_sketched_parts(
-        g: &'g Graph,
-        config: IndexConfig,
-        r1: RrCollection,
-        sketch: SketchedPool,
-        chunks: u64,
-    ) -> Result<Self, IndexError> {
-        let expect = chunks as usize * config.chunk_size;
-        if r1.graph_n() != g.n() {
-            return Err(IndexError::SnapshotMismatch {
-                reason: format!(
-                    "selection pool is over {} nodes, graph has {}",
-                    r1.graph_n(),
-                    g.n()
-                ),
-            });
-        }
-        if r1.len() != expect {
-            return Err(IndexError::SnapshotMismatch {
-                reason: format!(
-                    "selection pool holds {} sets, chunk cursor {} × chunk size {} requires {}",
-                    r1.len(),
-                    chunks,
-                    config.chunk_size,
-                    expect
-                ),
-            });
-        }
-        let mut config = config;
-        config.sketch = sketch.precision() as usize;
-        let mut index = Self::from_parts(g, config, r1, RrCollection::new(g.n()), chunks);
-        index.set_sketch_state(Some(sketch))?;
-        Ok(index)
-    }
-
     /// The sentinel tier state, if active.
     pub fn sentinel_state(&self) -> Option<&SentinelState> {
-        self.sentinel.as_ref()
+        self.pool.sentinel.as_ref()
     }
 
-    /// Installs (or clears) externally held sentinel state — the seam for
-    /// snapshot loading and the delta-repair engine. The state must be
-    /// structurally consistent with the current pool
+    /// Installs (or clears) externally held sentinel state. The state
+    /// must be structurally consistent with the current pool
     /// ([`SentinelState::validate`]).
     pub fn set_sentinel_state(&mut self, state: Option<SentinelState>) -> Result<(), IndexError> {
         if let Some(st) = &state {
-            st.validate(self.g.n(), self.chunks)
+            st.validate(self.g.n(), self.pool.chunks)
                 .map_err(|reason| IndexError::SnapshotMismatch { reason })?;
         }
-        self.sentinel = state;
+        self.pool.sentinel = state;
         Ok(())
-    }
-
-    /// Removes and returns the sentinel tier state (the pool keeps its
-    /// truncated chunks; callers doing this must regenerate them or
-    /// reinstall a state before relying on plain-pool semantics).
-    pub fn take_sentinel_state(&mut self) -> Option<SentinelState> {
-        self.sentinel.take()
     }
 
     /// The sketched validation pool, if the sketch tier is active.
     pub fn sketch_state(&self) -> Option<&SketchedPool> {
-        self.sketch.as_ref()
+        self.pool.sketch.as_ref()
     }
 
-    /// Installs (or clears) an externally held sketched validation pool —
-    /// the seam for snapshot loading and the delta-repair engine. The
-    /// pool must be structurally consistent with the index: same graph
-    /// size and chunk size, covering exactly chunks `0..chunks`.
+    /// Installs (or clears) an externally held sketched validation pool.
+    /// The pool must be structurally consistent with the index: same
+    /// graph size and chunk size, covering exactly chunks `0..chunks`.
     pub fn set_sketch_state(&mut self, state: Option<SketchedPool>) -> Result<(), IndexError> {
         if let Some(sk) = &state {
             let mismatch = |reason: String| IndexError::SnapshotMismatch { reason };
@@ -498,29 +399,24 @@ impl<'g> RrIndex<'g> {
                     self.config.chunk_size
                 )));
             }
-            if sk.num_chunks() as u64 != self.chunks
+            let chunks = self.pool.chunks;
+            if sk.num_chunks() as u64 != chunks
                 || sk
                     .chunk_ids()
                     .last()
-                    .is_some_and(|&last| last + 1 != self.chunks)
+                    .is_some_and(|&last| last + 1 != chunks)
             {
                 return Err(mismatch(format!(
                     "sketch covers {} chunks (last id {:?}), chunk cursor is {}",
                     sk.num_chunks(),
                     sk.chunk_ids().last(),
-                    self.chunks
+                    chunks
                 )));
             }
             self.config.sketch = sk.precision() as usize;
         }
-        self.sketch = state;
+        self.pool.sketch = state;
         Ok(())
-    }
-
-    /// Removes and returns the sketched validation pool (callers must
-    /// reinstall one — or refill `r2` — before querying again).
-    pub fn take_sketch_state(&mut self) -> Option<SketchedPool> {
-        self.sketch.take()
     }
 
     /// The indexed graph.
@@ -553,37 +449,37 @@ impl<'g> RrIndex<'g> {
 
     /// Sets per pool half.
     pub fn pool_len(&self) -> usize {
-        self.r1.len()
+        self.pool.r1.len()
     }
 
     /// Arena node entries across both halves (what
     /// [`IndexConfig::max_nodes`] caps).
     pub fn total_nodes(&self) -> usize {
-        self.r1.total_nodes() + self.r2.total_nodes()
+        self.pool.r1.total_nodes() + self.pool.r2.total_nodes()
     }
 
     /// The RNG cursor: complete chunks generated per half.
     pub fn chunk_cursor(&self) -> u64 {
-        self.chunks
+        self.pool.chunks
     }
 
     /// Resident bytes of the sketched validation pool (`0` when the
     /// index is exact), and the exact-arena bytes it displaces — the
     /// pair behind `IndexMetrics`' compression ratio.
     pub fn sketch_bytes(&self) -> (u64, u64) {
-        self.sketch.as_ref().map_or((0, 0), |sk| {
+        self.pool.sketch.as_ref().map_or((0, 0), |sk| {
             (sk.resident_bytes(), sk.displaced_exact_bytes())
         })
     }
 
     /// The selection half `R₁` (read-only).
     pub fn selection_pool(&self) -> &RrCollection {
-        &self.r1
+        &self.pool.r1
     }
 
     /// The validation half `R₂` (read-only).
     pub fn validation_pool(&self) -> &RrCollection {
-        &self.r2
+        &self.pool.r2
     }
 
     /// Lifetime counters.
@@ -609,264 +505,69 @@ impl<'g> RrIndex<'g> {
     /// Pre-grows the pool to at least `sets` per half (rounded up to a
     /// whole number of chunks), e.g. to warm an index before serving.
     pub fn warm(&mut self, sets: usize) -> Result<(), IndexError> {
-        self.ensure_pool(sets)?;
+        self.grow_to(sets)?;
         Ok(())
     }
 
     /// Answers one IM query: `k` seeds at accuracy `ε` and failure
-    /// probability `δ`, certified by the OPIM bounds over the pool.
-    ///
-    /// Runs greedy max-coverage + both bounds over the current pool; if
-    /// the certified ratio beats `1 - 1/e - ε` the pool is returned as-is,
-    /// otherwise the pool doubles (continuing the deterministic chunk
-    /// stream) and the round repeats, up to Eq. 4's `θ_max` cap — at which
-    /// point the guarantee holds by sample complexity, as in OPIM-C's
-    /// final iteration. Each round's bounds use `δ/(3·i_max)` exactly as
-    /// OPIM-C budgets its failure probability.
+    /// probability `δ`, certified by the OPIM bounds over the pool (see
+    /// [`certified_query`]).
     pub fn query(&mut self, k: usize, epsilon: f64, delta: f64) -> Result<QueryAnswer, IndexError> {
-        let opts = ImOptions::new(k).epsilon(epsilon).delta(delta);
-        opts.validate(self.g)?;
-        let start = Instant::now();
-        let n = self.g.n();
-        let target = 1.0 - (-1.0f64).exp() - epsilon;
-        let theta_max = theta_max_opim(n, k, epsilon, delta);
-        let theta0 = theta_zero(delta);
-        let imax = i_max(theta_max, theta0);
-        let delta_iter = delta / (3.0 * imax as f64);
-
-        let pool_before = self.pool_len();
-        let mut fresh = self.ensure_pool(theta0 as usize)?;
-        let mut rounds = 0u32;
-        loop {
-            rounds += 1;
-            // Sentinel pools re-certify through the HIST-style round so
-            // the answer keeps the full (k, ε, δ) guarantee; sketched
-            // pools run the slack-adjusted round; plain pools run the
-            // standard OPIM round. `slack_failed` is the error-adaptive
-            // ladder trigger (sketched pools only): the certificate
-            // failed because of sketch slack, not sample count.
-            let (seeds, lower, upper, slack_failed) = if let Some(sk) = &self.sketch {
-                let eval = evaluate_pool_sketched(
-                    &self.r1,
-                    sk,
-                    k,
-                    delta_iter,
-                    delta_iter,
-                    self.config.threads,
-                );
-                let slack = eval.failed_on_slack(target);
-                (eval.seeds, eval.lower, eval.upper, slack)
-            } else {
-                let eval = match &self.sentinel {
-                    Some(st) if !st.set.is_empty() => evaluate_pool_sentinel(
-                        &self.r1,
-                        &self.r2,
-                        &st.set,
-                        self.g,
-                        k,
-                        delta_iter,
-                        delta_iter,
-                        self.config.threads,
-                    ),
-                    _ => evaluate_pool_par(
-                        &self.r1,
-                        &self.r2,
-                        k,
-                        delta_iter,
-                        delta_iter,
-                        self.config.threads,
-                    ),
-                };
-                (eval.seeds, eval.lower, eval.upper, false)
-            };
-            let certified = if upper <= 0.0 {
-                false
-            } else {
-                lower / upper > target
-            };
-            if certified || self.pool_len() as f64 >= theta_max {
-                let elapsed = start.elapsed();
-                let stats = QueryStats {
-                    k,
-                    epsilon,
-                    delta,
-                    pool_before,
-                    pool_after: self.pool_len(),
-                    fresh_sets: fresh,
-                    rounds,
-                    lower_bound: lower,
-                    upper_bound: upper,
-                    target_ratio: target,
-                    certified_by_bounds: certified,
-                    elapsed,
-                };
-                self.counters.queries += 1;
-                if certified {
-                    self.counters.certified_queries += 1;
-                }
-                self.counters.sets_reused += stats.reused_sets() as u64;
-                self.counters.sets_consumed += 2 * stats.pool_after as u64;
-                self.counters.query_time += elapsed;
-                return Ok(QueryAnswer { seeds, stats });
-            }
-            // Failing on slack means more samples cannot close the gap —
-            // promote register precision instead (bounded by
-            // MAX_PRECISION; past it, fall through to doubling and let
-            // theta_max terminate the loop).
-            if slack_failed && self.config.sketch < MAX_PRECISION as usize {
-                fresh += self.promote_sketch()?;
-                continue;
-            }
-            // len < theta_max here, so the target strictly grows the pool
-            // (ensure_pool additionally rounds up to a chunk boundary).
-            let next = self
-                .pool_len()
-                .saturating_mul(2)
-                .min(theta_max.ceil() as usize);
-            fresh += self.ensure_pool(next)?;
+        let threads = self.config.threads;
+        let answer = certified_query(self, k, epsilon, delta, threads)?;
+        let stats = &answer.stats;
+        self.counters.queries += 1;
+        if stats.certified_by_bounds {
+            self.counters.certified_queries += 1;
         }
+        self.counters.sets_reused += stats.reused_sets() as u64;
+        self.counters.sets_consumed += 2 * stats.pool_after as u64;
+        self.counters.query_time += stats.elapsed;
+        Ok(answer)
     }
 
-    /// Error-adaptive ladder step: regenerates the entire `R₂` chunk
-    /// stream at the next register precision and swaps the sketch. Chunk
-    /// content is a pure function of `(seed, chunk id)`, so the rebuilt
-    /// sketch is exactly what an index configured at the higher precision
-    /// from the start would hold. Returns the number of regenerated sets.
-    fn promote_sketch(&mut self) -> Result<usize, IndexError> {
-        let old = self.sketch.as_ref().expect("promotion without a sketch");
-        let precision = old.precision() + 1;
-        assert!(precision <= MAX_PRECISION, "ladder past MAX_PRECISION");
-        let chunk = self.config.chunk_size;
+    /// Spawns the persistent workers on first use (or again after a
+    /// threads change) and applies the fault hook.
+    fn spawn_workers(&mut self) {
         let threads = self.config.threads;
-        let workers = self.workers.get_or_insert_with(|| WorkerPool::new(threads));
-        let mut fresh = SketchedPool::new(self.g.n(), chunk, precision);
-        let slice = (threads as u64) * 4;
-        let mut start = 0u64;
-        let mut regenerated = 0usize;
-        while start < self.chunks {
-            let end = self.chunks.min(start + slice);
-            let b = workers.try_generate_chunks(
-                &self.sampler,
-                None,
-                start..end,
-                chunk,
-                self.config.seed ^ R2_STREAM,
-            )?;
-            self.counters.rr_sets_generated += b.rr.len() as u64;
-            self.counters.rr_nodes_generated += b.rr.total_nodes() as u64;
-            self.counters.generation_cost += b.cost;
-            regenerated += b.rr.len();
-            fresh.absorb_batch(start, &b.rr);
-            start = end;
-        }
-        self.config.sketch = precision as usize;
-        self.sketch = Some(fresh);
-        Ok(regenerated)
-    }
-
-    /// Grows both halves to at least `target_sets` each, continuing the
-    /// chunk stream. Returns the number of freshly generated sets (both
-    /// halves combined); `Ok(0)` if the pool was already large enough.
-    fn ensure_pool(&mut self, target_sets: usize) -> Result<usize, IndexError> {
-        let chunk = self.config.chunk_size;
-        let needed_chunks = (target_sets.div_ceil(chunk)) as u64;
-        if needed_chunks <= self.chunks {
-            return Ok(0);
-        }
-        let threads = self.config.threads;
-        // Spawn (or re-spawn after a threads change) the persistent
-        // workers once; every later top-up reuses them.
         let workers = self.workers.get_or_insert_with(|| WorkerPool::new(threads));
         if self.chunk_hook.is_some() {
             workers.set_chunk_hook(self.chunk_hook.clone());
         }
-        // Budget is re-checked every `slice` chunks so a single huge
-        // top-up cannot blow past `max_nodes` unbounded.
-        let slice = (threads as u64) * 4;
-        let mut added = 0usize;
-        while self.chunks < needed_chunks {
-            if let Some(cap) = self.config.max_nodes {
-                // Field-level sum (not `self.total_nodes()`) so the
-                // borrow of the worker pool stays disjoint. A sketched
-                // R₂ counts its resident bytes in 4-byte node-entry
-                // equivalents, keeping the budget unit consistent.
-                let in_use = self.r1.total_nodes()
-                    + self.r2.total_nodes()
-                    + self
-                        .sketch
-                        .as_ref()
-                        .map_or(0, |sk| sk.resident_bytes() as usize / 4);
-                if in_use >= cap {
-                    return Err(IndexError::MemoryBudget {
-                        max_nodes: cap,
-                        in_use,
-                        wanted_sets: needed_chunks as usize * chunk,
-                    });
-                }
-            }
-            // Crossing the plain warmup prefix activates the sentinel
-            // tier: Z is selected once, over exactly the plain chunks
-            // generated so far.
-            if self.config.sentinels > 0
-                && self.sentinel.is_none()
-                && self.chunks >= SENTINEL_WARMUP_CHUNKS
-            {
-                self.sentinel = Some(SentinelState {
-                    set: SentinelSet::select(&[&self.r1], self.g, self.config.sentinels),
-                    from_chunk: self.chunks,
-                    chunk_hits_r1: vec![0; self.chunks as usize],
-                    chunk_hits_r2: vec![0; self.chunks as usize],
-                });
-            }
-            let mut end = needed_chunks.min(self.chunks + slice);
-            if self.config.sentinels > 0 && self.sentinel.is_none() {
-                // Still inside the warmup prefix: stop this slice at the
-                // boundary so the next iteration selects Z before any
-                // truncated chunk is generated.
-                end = end.min(SENTINEL_WARMUP_CHUNKS.max(self.chunks + 1));
-            }
-            let z = self
-                .sentinel
-                .as_ref()
-                .filter(|st| !st.set.is_empty())
-                .map(|st| st.set.nodes());
-            let truncating = z.is_some();
-            let b1 = workers.try_generate_chunks(
-                &self.sampler,
-                z,
-                self.chunks..end,
-                chunk,
-                self.config.seed,
-            )?;
-            let b2 = workers.try_generate_chunks(
-                &self.sampler,
-                z,
-                self.chunks..end,
-                chunk,
-                self.config.seed ^ R2_STREAM,
-            )?;
-            if let Some(st) = &mut self.sentinel {
-                st.chunk_hits_r1.extend_from_slice(&b1.chunk_hits);
-                st.chunk_hits_r2.extend_from_slice(&b2.chunk_hits);
-            }
-            self.counters.rr_sets_generated += (b1.rr.len() + b2.rr.len()) as u64;
-            self.counters.rr_nodes_generated += (b1.rr.total_nodes() + b2.rr.total_nodes()) as u64;
-            self.counters.generation_cost += b1.cost + b2.cost;
-            self.counters.sentinel_hits += b1.sentinel_hits + b2.sentinel_hits;
-            if truncating {
-                self.counters.truncated_sets += (b1.rr.len() + b2.rr.len()) as u64;
-                self.counters.truncated_nodes += (b1.rr.total_nodes() + b2.rr.total_nodes()) as u64;
-            }
-            added += b1.rr.len() + b2.rr.len();
-            self.r1.extend_from(&b1.rr);
-            if let Some(sk) = &mut self.sketch {
-                sk.absorb_batch(self.chunks, &b2.rr);
-            } else {
-                self.r2.extend_from(&b2.rr);
-            }
-            self.chunks = end;
-        }
-        Ok(added)
+    }
+}
+
+impl CertifiedPool for RrIndex<'_> {
+    type Error = IndexError;
+
+    fn view(&self) -> PoolView<'_> {
+        self.pool.view(self.g)
+    }
+
+    fn grow_to(&mut self, target_sets: usize) -> Result<usize, IndexError> {
+        self.spawn_workers();
+        let workers = self.workers.as_ref().expect("workers spawned");
+        let counters = &mut self.counters;
+        self.pool.grow_to(
+            &self.sampler,
+            workers,
+            &self.config,
+            target_sets,
+            &mut |b| counters.record(b),
+        )
+    }
+
+    fn promote_sketch(&mut self, _observed: u8) -> Result<usize, IndexError> {
+        self.spawn_workers();
+        let workers = self.workers.as_ref().expect("workers spawned");
+        let counters = &mut self.counters;
+        let regenerated =
+            self.pool
+                .promote_sketch(&self.sampler, workers, &self.config, &mut |b| {
+                    counters.record(b)
+                })?;
+        self.config.sketch = self.pool.sketch.as_ref().map_or(0, |sk| sk.precision()) as usize;
+        Ok(regenerated)
     }
 }
 
@@ -1084,7 +785,7 @@ mod tests {
         };
         index.set_sentinel_state(Some(good.clone())).unwrap();
         assert_eq!(index.sentinel_state(), Some(&good));
-        assert_eq!(index.take_sentinel_state(), Some(good));
+        index.set_sentinel_state(None).unwrap();
         assert!(index.sentinel_state().is_none());
     }
 
@@ -1158,7 +859,7 @@ mod tests {
         let g = barabasi_albert(200, 3, WeightModel::Wc, 13);
         let mut a = RrIndex::new(&g, config().sketch(5));
         a.warm(512).unwrap();
-        let regenerated = a.promote_sketch().unwrap();
+        let regenerated = CertifiedPool::promote_sketch(&mut a, 5).unwrap();
         assert_eq!(regenerated, 512);
         assert_eq!(a.config().sketch, 6);
         // Promotion rebuilds from the deterministic chunk stream: the

@@ -8,9 +8,12 @@
 //! the graph, the weight model, and the diffusion process — never on `k`
 //! or `ε`. This crate keeps the pool alive.
 //!
-//! [`RrIndex`] owns two independently sampled halves of RR sets, mirroring
-//! OPIM-C's `R₁`/`R₂` split, and answers each query by running greedy
-//! max-coverage plus the OPIM lower/upper bounds over the *current* pool.
+//! [`RrIndex`] owns two independently sampled halves of RR sets
+//! ([`PoolState`]), mirroring OPIM-C's `R₁`/`R₂` split, and answers each
+//! query by running greedy max-coverage plus the OPIM lower/upper bounds
+//! over the *current* pool. Every index in the workspace answers through
+//! the same [`certified_query`] loop over a [`PoolView`] (see
+//! [`mod@certify`]).
 //! Only when the certificate fails does it generate more sets — doubling,
 //! capped by the worst-case `θ_max` — so the first query pays roughly a
 //! full OPIM-C run and later queries at comparable accuracy are answered
@@ -44,21 +47,25 @@
 
 #![warn(missing_docs)]
 
+pub mod certify;
 mod error;
 mod fingerprint;
 mod index;
+mod pool;
 mod snapshot;
 mod stats;
 mod sync;
 
+pub use certify::{certified_query, certify, Certificate, CertifiedPool, PoolView, Validation};
 pub use error::IndexError;
 pub use fingerprint::graph_fingerprint;
 pub use index::{
     IndexConfig, QueryAnswer, RrIndex, SentinelState, R2_STREAM, SENTINEL_WARMUP_CHUNKS,
 };
+pub use pool::{Generated, PoolState};
 pub use snapshot::{read_index, write_index};
 pub use stats::{IndexCounters, QueryStats};
 pub use sync::{
-    quantile_ns, ConcurrentRrIndex, IndexMetrics, LatencyHistogram, MetricsSnapshot, PoolSnapshot,
+    quantile_ns, ConcurrentRrIndex, IndexMetrics, LatencyHistogram, MetricsSnapshot,
     TenantCounters, TenantMetrics,
 };

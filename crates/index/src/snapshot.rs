@@ -39,6 +39,7 @@
 use crate::error::IndexError;
 use crate::fingerprint::graph_fingerprint;
 use crate::index::{IndexConfig, RrIndex, SentinelState};
+use crate::pool::PoolState;
 use std::fs::File;
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -388,13 +389,20 @@ pub fn read_index<'g, R: Read>(g: &'g Graph, r: R) -> Result<RrIndex<'g>, IndexE
         // Restoring `sentinels` from the persisted set keeps growth
         // truncating on the same Z; plain snapshots stay plain.
         sentinels: sentinel.as_ref().map_or(0, |st| st.set.len()),
-        // `set_sketch_state` below restores the live precision.
+        // `from_state` below restores the live precision.
         sketch: 0,
     };
-    let mut index = RrIndex::from_parts(g, config, r1, r2, chunks);
-    index.set_sentinel_state(sentinel)?;
-    index.set_sketch_state(sketch)?;
-    Ok(index)
+    RrIndex::from_state(
+        g,
+        config,
+        PoolState {
+            r1,
+            r2,
+            chunks,
+            sentinel,
+            sketch,
+        },
+    )
 }
 
 impl<'g> RrIndex<'g> {

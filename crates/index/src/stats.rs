@@ -1,5 +1,6 @@
 //! Per-query records and cumulative observability counters.
 
+use crate::pool::Generated;
 use std::time::Duration;
 
 /// What one [`crate::RrIndex::query`] call did and certified.
@@ -83,6 +84,18 @@ pub struct IndexCounters {
 }
 
 impl IndexCounters {
+    /// Records one generation batch.
+    pub fn record(&mut self, b: &Generated) {
+        self.rr_sets_generated += b.sets;
+        self.rr_nodes_generated += b.nodes;
+        self.generation_cost += b.cost;
+        self.sentinel_hits += b.sentinel_hits;
+        if b.truncated {
+            self.truncated_sets += b.sets;
+            self.truncated_nodes += b.nodes;
+        }
+    }
+
     /// Fraction of consumed sets that were already in the pool when their
     /// query arrived — 1.0 means fully warm (no generation at all).
     pub fn cache_hit_ratio(&self) -> f64 {

@@ -1,21 +1,21 @@
 //! Concurrent serving on top of [`RrIndex`]'s deterministic pool.
 //!
 //! [`ConcurrentRrIndex`] splits the index into an immutable, atomically
-//! swappable [`PoolSnapshot`] (the two RR halves plus the chunk cursor,
-//! held behind `Arc`) and a mutex-guarded writer that performs
+//! swappable [`PoolState`] (the two RR halves plus the chunk cursor, held
+//! behind `Arc`) and a mutex-guarded writer that performs
 //! chunk-deterministic top-ups off to the side. Query threads briefly take
 //! a read lock only to clone the `Arc`, then run greedy + bounds entirely
 //! on their private snapshot — no lock is held during certification, and a
 //! snapshot can never be observed mid-growth (no torn reads by
 //! construction).
 //!
-//! Determinism is inherited, not re-proven: growth continues the same
-//! chunk stream as the sequential index (`chunk c` is always generated
-//! from `chunk_seed(seed, c)`), so pool *content at any size* is a pure
-//! function of `(seed, strategy, chunk_size, size)` regardless of how many
-//! threads raced, which queries triggered growth, or how top-ups were
-//! sliced. Concurrent interleavings may change how far the pool has grown
-//! at a given moment — never what any prefix of it contains.
+//! Determinism is inherited, not re-proven: growth runs the same
+//! [`PoolState::grow_to`] step as the sequential index, so pool *content
+//! at any size* is a pure function of `(seed, strategy, chunk_size, size)`
+//! regardless of how many threads raced, which queries triggered growth,
+//! or how top-ups were sliced. Concurrent interleavings may change how far
+//! the pool has grown at a given moment — never what any prefix of it
+//! contains.
 //!
 //! Observability lives in [`IndexMetrics`]: relaxed atomic counters and a
 //! log₂ latency histogram updated by query and writer threads without
@@ -27,73 +27,15 @@ pub use metrics::{
     quantile_ns, IndexMetrics, LatencyHistogram, MetricsSnapshot, TenantCounters, TenantMetrics,
 };
 
+use crate::certify::{certified_query, CertifiedPool, PoolView};
 use crate::error::IndexError;
-use crate::index::{
-    IndexConfig, QueryAnswer, RrIndex, SentinelState, R2_STREAM, SENTINEL_WARMUP_CHUNKS,
-};
-use crate::stats::QueryStats;
+use crate::index::{IndexConfig, QueryAnswer, RrIndex};
+use crate::pool::PoolState;
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::Instant;
-use subsim_core::bounds::{i_max, theta_max_opim, theta_zero};
-use subsim_core::pool::evaluate_pool_timed_par;
-use subsim_core::sentinel::{evaluate_pool_sentinel, SentinelSet};
-use subsim_core::ImOptions;
+use std::time::Duration;
 use subsim_diffusion::pool::WorkerPool;
-use subsim_diffusion::{RrCollection, RrSampler};
+use subsim_diffusion::RrSampler;
 use subsim_graph::Graph;
-use subsim_sketch::{evaluate_pool_sketched, SketchedPool, MAX_PRECISION};
-
-/// One immutable published state of the pool: both halves plus the RNG
-/// cursor that produced them. Readers hold an `Arc` to it and never see
-/// it change; the writer only ever publishes complete replacements.
-#[derive(Debug)]
-pub struct PoolSnapshot {
-    r1: RrCollection,
-    r2: RrCollection,
-    chunks: u64,
-    /// Sentinel tier state at publish time; immutable like the halves.
-    sentinel: Option<SentinelState>,
-    /// Sketched validation pool at publish time (`r2` is empty when
-    /// present); immutable like the halves.
-    sketch: Option<SketchedPool>,
-}
-
-impl PoolSnapshot {
-    /// Sets per pool half.
-    pub fn pool_len(&self) -> usize {
-        self.r1.len()
-    }
-
-    /// The RNG cursor: complete chunks generated per half.
-    pub fn chunk_cursor(&self) -> u64 {
-        self.chunks
-    }
-
-    /// Arena node entries across both halves.
-    pub fn total_nodes(&self) -> usize {
-        self.r1.total_nodes() + self.r2.total_nodes()
-    }
-
-    /// The selection half `R₁` (read-only).
-    pub fn selection_pool(&self) -> &RrCollection {
-        &self.r1
-    }
-
-    /// The validation half `R₂` (read-only).
-    pub fn validation_pool(&self) -> &RrCollection {
-        &self.r2
-    }
-
-    /// The sentinel tier state at publish time, if active.
-    pub fn sentinel_state(&self) -> Option<&SentinelState> {
-        self.sentinel.as_ref()
-    }
-
-    /// The sketched validation pool at publish time, if active.
-    pub fn sketch_state(&self) -> Option<&SketchedPool> {
-        self.sketch.as_ref()
-    }
-}
 
 /// A concurrently queryable [`RrIndex`]: shared `&self` queries from any
 /// number of threads, with pool growth serialized through one writer and
@@ -120,7 +62,7 @@ pub struct ConcurrentRrIndex<'g> {
     g: &'g Graph,
     config: IndexConfig,
     sampler: RrSampler<'g>,
-    snapshot: RwLock<Arc<PoolSnapshot>>,
+    snapshot: RwLock<Arc<PoolState>>,
     /// Serializes growth and owns the persistent generation workers —
     /// spawned once at construction and reused across every top-up, so
     /// growth rounds never pay thread-spawn cost. All pool state lives in
@@ -152,18 +94,13 @@ impl<'g> ConcurrentRrIndex<'g> {
     /// snapshot file) for concurrent serving. The pool carries over
     /// unchanged; lifetime counters restart.
     pub fn from_index(index: RrIndex<'g>) -> Self {
-        let (g, config, r1, r2, chunks, sentinel, sketch) = index.into_parts();
+        let g = index.g;
+        let (config, pool) = index.into_state();
         ConcurrentRrIndex {
             g,
             config,
             sampler: RrSampler::new(g, config.strategy),
-            snapshot: RwLock::new(Arc::new(PoolSnapshot {
-                r1,
-                r2,
-                chunks,
-                sentinel,
-                sketch,
-            })),
+            snapshot: RwLock::new(Arc::new(pool)),
             writer: Mutex::new(WorkerPool::new(config.threads)),
             metrics: IndexMetrics::default(),
         }
@@ -174,21 +111,9 @@ impl<'g> ConcurrentRrIndex<'g> {
     /// reader can be left holding a stale view.
     pub fn into_index(self) -> RrIndex<'g> {
         let snap = self.snapshot.into_inner().expect("snapshot lock poisoned");
-        let snap = Arc::try_unwrap(snap).unwrap_or_else(|arc| PoolSnapshot {
-            r1: arc.r1.clone(),
-            r2: arc.r2.clone(),
-            chunks: arc.chunks,
-            sentinel: arc.sentinel.clone(),
-            sketch: arc.sketch.clone(),
-        });
-        let mut index = RrIndex::from_parts(self.g, self.config, snap.r1, snap.r2, snap.chunks);
-        index
-            .set_sentinel_state(snap.sentinel)
-            .expect("published snapshot carries sentinel state consistent with its pool");
-        index
-            .set_sketch_state(snap.sketch)
-            .expect("published snapshot carries sketch state consistent with its pool");
-        index
+        let pool = Arc::try_unwrap(snap).unwrap_or_else(|arc| (*arc).clone());
+        RrIndex::from_state(self.g, self.config, pool)
+            .expect("a published snapshot is consistent with its pool")
     }
 
     /// The indexed graph.
@@ -204,7 +129,7 @@ impl<'g> ConcurrentRrIndex<'g> {
     /// The current published snapshot. The returned `Arc` is a stable
     /// view: its content never changes, even while the writer publishes
     /// successors.
-    pub fn load(&self) -> Arc<PoolSnapshot> {
+    pub fn load(&self) -> Arc<PoolState> {
         Arc::clone(&self.snapshot.read().expect("snapshot lock poisoned"))
     }
 
@@ -227,314 +152,119 @@ impl<'g> ConcurrentRrIndex<'g> {
     /// delegated to the shared writer (a thread that finds the pool
     /// already grown past its target reuses it instead of generating).
     pub fn query(&self, k: usize, epsilon: f64, delta: f64) -> Result<QueryAnswer, IndexError> {
-        let opts = ImOptions::new(k).epsilon(epsilon).delta(delta);
-        opts.validate(self.g)?;
-        let start = Instant::now();
-        let n = self.g.n();
-        let target = 1.0 - (-1.0f64).exp() - epsilon;
-        let theta_max = theta_max_opim(n, k, epsilon, delta);
-        let theta0 = theta_zero(delta);
-        let imax = i_max(theta_max, theta0);
-        let delta_iter = delta / (3.0 * imax as f64);
-
-        let mut snap = self.load();
-        let pool_before = snap.pool_len();
-        let mut fresh = 0usize;
-        if snap.pool_len() < theta0 as usize {
-            let (grown, added) = self.grow_to(theta0 as usize)?;
-            snap = grown;
-            fresh += added;
-        }
-        let mut rounds = 0u32;
-        loop {
-            rounds += 1;
-            // Sentinel snapshots re-certify through the HIST-style round
-            // so the answer keeps the full (k, ε, δ) guarantee; sketched
-            // snapshots run the slack-adjusted round; plain snapshots run
-            // the standard OPIM round.
-            let (seeds, lower, upper, slack_failed) = if let Some(sk) = &snap.sketch {
-                let t = Instant::now();
-                let eval = evaluate_pool_sketched(
-                    &snap.r1,
-                    sk,
-                    k,
-                    delta_iter,
-                    delta_iter,
-                    self.config.threads,
-                );
-                self.metrics.record_selection(t.elapsed());
-                let slack = eval.failed_on_slack(target);
-                (eval.seeds, eval.lower, eval.upper, slack)
-            } else {
-                let (eval, cert_time) = match snap.sentinel.as_ref().filter(|st| !st.set.is_empty())
-                {
-                    Some(st) => {
-                        let t = Instant::now();
-                        let eval = evaluate_pool_sentinel(
-                            &snap.r1,
-                            &snap.r2,
-                            &st.set,
-                            self.g,
-                            k,
-                            delta_iter,
-                            delta_iter,
-                            self.config.threads,
-                        );
-                        (eval, t.elapsed())
-                    }
-                    None => evaluate_pool_timed_par(
-                        &snap.r1,
-                        &snap.r2,
-                        k,
-                        delta_iter,
-                        delta_iter,
-                        self.config.threads,
-                    ),
-                };
-                self.metrics.record_selection(cert_time);
-                (eval.seeds, eval.lower, eval.upper, false)
-            };
-            let certified = if upper <= 0.0 {
-                false
-            } else {
-                lower / upper > target
-            };
-            if certified || snap.pool_len() as f64 >= theta_max {
-                let elapsed = start.elapsed();
-                let stats = QueryStats {
-                    k,
-                    epsilon,
-                    delta,
-                    pool_before,
-                    pool_after: snap.pool_len(),
-                    fresh_sets: fresh,
-                    rounds,
-                    lower_bound: lower,
-                    upper_bound: upper,
-                    target_ratio: target,
-                    certified_by_bounds: certified,
-                    elapsed,
-                };
-                self.metrics.record_query(&stats);
-                return Ok(QueryAnswer { seeds, stats });
-            }
-            // Error-adaptive ladder, as in the sequential index: a round
-            // that failed on sketch slack promotes register precision
-            // instead of growing the pool.
-            if slack_failed {
-                let observed = snap.sketch.as_ref().map(|sk| sk.precision());
-                if observed.is_some_and(|p| p < MAX_PRECISION) {
-                    let (grown, added) = self.promote_sketch(observed.unwrap())?;
-                    snap = grown;
-                    fresh += added;
-                    continue;
-                }
-            }
-            let next = snap
-                .pool_len()
-                .saturating_mul(2)
-                .min(theta_max.ceil() as usize);
-            let (grown, added) = self.grow_to(next)?;
-            snap = grown;
-            fresh += added;
-        }
+        let mut reader = Reader {
+            index: self,
+            snap: self.load(),
+        };
+        let answer = certified_query(&mut reader, k, epsilon, delta, self.config.threads)?;
+        self.metrics.record_query(&answer.stats);
+        Ok(answer)
     }
 
-    /// Error-adaptive ladder step: regenerates the `R₂` chunk stream at
-    /// the next register precision above `observed` and publishes the
-    /// promoted snapshot, exactly as the sequential index does. If a
-    /// racing thread already promoted past `observed`, the current
-    /// snapshot is returned with no work done (the caller re-evaluates).
-    fn promote_sketch(&self, observed: u8) -> Result<(Arc<PoolSnapshot>, usize), IndexError> {
+    /// Runs `step` on a copy of the current snapshot under the writer
+    /// lock — unless `done` says another writer already did the work —
+    /// and publishes the result if the pool changed. Returns the snapshot
+    /// to continue with and the sets `step` generated.
+    fn write(
+        &self,
+        done: impl Fn(&PoolState) -> bool,
+        step: impl FnOnce(&mut PoolState, &WorkerPool) -> Result<usize, IndexError>,
+    ) -> Result<(Arc<PoolState>, usize), IndexError> {
+        let snap = self.load();
+        if done(&snap) {
+            return Ok((snap, 0));
+        }
         let workers = self.writer.lock().expect("writer lock poisoned");
+        // Re-check under the guard: another writer may have finished
+        // while this thread waited.
         let base = self.load();
-        let Some(old) = base.sketch.as_ref() else {
-            return Ok((base, 0));
-        };
-        if old.precision() != observed {
+        if done(&base) {
             return Ok((base, 0));
         }
-        let precision = observed + 1;
-        let chunk = self.config.chunk_size;
-        let slice = (self.config.threads as u64) * 4;
-        let mut fresh = SketchedPool::new(self.g.n(), chunk, precision);
-        let mut start = 0u64;
-        let mut regenerated = 0usize;
-        while start < base.chunks {
-            let end = base.chunks.min(start + slice);
-            let b = workers.try_generate_chunks(
-                &self.sampler,
-                None,
-                start..end,
-                chunk,
-                self.config.seed ^ R2_STREAM,
-            )?;
-            self.metrics.record_generation(
-                b.rr.len() as u64,
-                b.rr.total_nodes() as u64,
-                b.cost,
-                b.elapsed,
-            );
-            regenerated += b.rr.len();
-            fresh.absorb_batch(start, &b.rr);
-            start = end;
-        }
-        let snap = Arc::new(PoolSnapshot {
-            r1: base.r1.clone(),
-            r2: base.r2.clone(),
-            chunks: base.chunks,
-            sentinel: base.sentinel.clone(),
-            sketch: Some(fresh),
-        });
+        let mut next = PoolState::clone(&base);
+        let result = step(&mut next, &workers);
+        // Complete slices publish even when a later one failed, so the
+        // pool keeps the progress a failed top-up made (as the
+        // sequential index does).
+        let changed = next.chunks != base.chunks
+            || next.sketch.as_ref().map(|sk| sk.precision())
+                != base.sketch.as_ref().map(|sk| sk.precision());
+        let snap = if changed { self.publish(next) } else { base };
+        result.map(|generated| (snap, generated))
+    }
+
+    fn publish(&self, pool: PoolState) -> Arc<PoolState> {
+        let snap = Arc::new(pool);
         *self.snapshot.write().expect("snapshot lock poisoned") = Arc::clone(&snap);
         self.metrics
             .snapshot_publishes
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.record_pool_gauges(&snap);
-        Ok((snap, regenerated))
-    }
-
-    /// Refreshes the resident-memory gauges from a freshly published
-    /// snapshot. Exact bytes use the sketch tier's accounting convention
-    /// (4 bytes per arena node entry + 8 per set of offset overhead) so
-    /// the compression ratio compares like with like.
-    fn record_pool_gauges(&self, snap: &PoolSnapshot) {
-        let exact = 4 * (snap.r1.total_nodes() + snap.r2.total_nodes()) as u64
-            + 8 * (snap.r1.len() + snap.r2.len()) as u64;
-        let (sketch, displaced) = snap.sketch.as_ref().map_or((0, 0), |sk| {
-            (sk.resident_bytes(), sk.displaced_exact_bytes())
-        });
-        self.metrics.record_pool_bytes(exact, sketch, displaced);
+        self.metrics
+            .record_pool_parts([(&snap.r1, &snap.r2, snap.sketch.as_ref())]);
+        snap
     }
 
     /// Grows the pool to at least `target_sets` per half, continuing the
-    /// deterministic chunk stream, and returns the snapshot to continue
-    /// with plus how many sets this call freshly generated (both halves
-    /// combined — `0` when another thread had already grown past the
-    /// target).
-    ///
-    /// Only one thread generates at a time; on a [`IndexError::MemoryBudget`]
-    /// failure any complete slices generated before the budget check are
-    /// still published (matching the sequential index, which keeps partial
-    /// progress when `ensure_pool` errors mid-growth).
-    fn grow_to(&self, target_sets: usize) -> Result<(Arc<PoolSnapshot>, usize), IndexError> {
-        let chunk = self.config.chunk_size;
-        let needed_chunks = target_sets.div_ceil(chunk) as u64;
-        {
-            let snap = self.load();
-            if snap.chunks >= needed_chunks {
-                return Ok((snap, 0));
-            }
-        }
-        let workers = self.writer.lock().expect("writer lock poisoned");
-        // Re-check under the guard: the pool may have grown while this
-        // thread waited for a predecessor writer.
-        let base = self.load();
-        if base.chunks >= needed_chunks {
-            return Ok((base, 0));
-        }
+    /// deterministic chunk stream. Only one thread generates at a time;
+    /// a thread that finds the pool already grown reuses it.
+    fn grow_to(&self, target_sets: usize) -> Result<(Arc<PoolState>, usize), IndexError> {
+        let needed = target_sets.div_ceil(self.config.chunk_size) as u64;
+        self.write(
+            |pool| pool.chunks >= needed,
+            |pool, workers| {
+                pool.grow_to(
+                    &self.sampler,
+                    workers,
+                    &self.config,
+                    target_sets,
+                    &mut |b| self.metrics.record_generated(b),
+                )
+            },
+        )
+    }
 
-        let slice = (self.config.threads as u64) * 4;
-        let mut r1 = base.r1.clone();
-        let mut r2 = base.r2.clone();
-        let mut chunks = base.chunks;
-        let mut sentinel = base.sentinel.clone();
-        let mut sketch = base.sketch.clone();
-        let mut added = 0usize;
-        let mut budget_err = None;
-        while chunks < needed_chunks {
-            if let Some(cap) = self.config.max_nodes {
-                let in_use = r1.total_nodes()
-                    + r2.total_nodes()
-                    + sketch
-                        .as_ref()
-                        .map_or(0, |sk| sk.resident_bytes() as usize / 4);
-                if in_use >= cap {
-                    budget_err = Some(IndexError::MemoryBudget {
-                        max_nodes: cap,
-                        in_use,
-                        wanted_sets: needed_chunks as usize * chunk,
-                    });
-                    break;
-                }
-            }
-            // Crossing the plain warmup prefix activates the sentinel
-            // tier, exactly as in the sequential `ensure_pool` — the
-            // successor snapshot carries the new state.
-            if self.config.sentinels > 0 && sentinel.is_none() && chunks >= SENTINEL_WARMUP_CHUNKS {
-                sentinel = Some(SentinelState {
-                    set: SentinelSet::select(&[&r1], self.g, self.config.sentinels),
-                    from_chunk: chunks,
-                    chunk_hits_r1: vec![0; chunks as usize],
-                    chunk_hits_r2: vec![0; chunks as usize],
-                });
-            }
-            let mut end = needed_chunks.min(chunks + slice);
-            if self.config.sentinels > 0 && sentinel.is_none() {
-                // Still inside the warmup prefix: stop this slice at the
-                // boundary so the next iteration selects Z before any
-                // truncated chunk is generated.
-                end = end.min(SENTINEL_WARMUP_CHUNKS.max(chunks + 1));
-            }
-            let z = sentinel
-                .as_ref()
-                .filter(|st| !st.set.is_empty())
-                .map(|st| st.set.nodes());
-            let truncating = z.is_some();
-            let b1 = workers.try_generate_chunks(
-                &self.sampler,
-                z,
-                chunks..end,
-                chunk,
-                self.config.seed,
-            )?;
-            let b2 = workers.try_generate_chunks(
-                &self.sampler,
-                z,
-                chunks..end,
-                chunk,
-                self.config.seed ^ R2_STREAM,
-            )?;
-            if let Some(st) = &mut sentinel {
-                st.chunk_hits_r1.extend_from_slice(&b1.chunk_hits);
-                st.chunk_hits_r2.extend_from_slice(&b2.chunk_hits);
-            }
-            let sets = (b1.rr.len() + b2.rr.len()) as u64;
-            let nodes = (b1.rr.total_nodes() + b2.rr.total_nodes()) as u64;
-            self.metrics
-                .record_generation(sets, nodes, b1.cost + b2.cost, b1.elapsed + b2.elapsed);
-            if truncating {
-                self.metrics
-                    .record_sentinel(b1.sentinel_hits + b2.sentinel_hits, sets, nodes);
-            }
-            added += b1.rr.len() + b2.rr.len();
-            r1.extend_from(&b1.rr);
-            if let Some(sk) = &mut sketch {
-                sk.absorb_batch(chunks, &b2.rr);
-            } else {
-                r2.extend_from(&b2.rr);
-            }
-            chunks = end;
-        }
+    /// The ladder step above `observed`; a no-op when a racing thread
+    /// already promoted past it.
+    fn promote_sketch(&self, observed: u8) -> Result<(Arc<PoolState>, usize), IndexError> {
+        self.write(
+            |pool| pool.sketch.as_ref().map(|sk| sk.precision()) != Some(observed),
+            |pool, workers| {
+                pool.promote_sketch(&self.sampler, workers, &self.config, &mut |b| {
+                    self.metrics.record_generated(b)
+                })
+            },
+        )
+    }
+}
 
-        let snap = Arc::new(PoolSnapshot {
-            r1,
-            r2,
-            chunks,
-            sentinel,
-            sketch,
-        });
-        if added > 0 {
-            *self.snapshot.write().expect("snapshot lock poisoned") = Arc::clone(&snap);
-            self.metrics
-                .snapshot_publishes
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            self.record_pool_gauges(&snap);
-        }
-        match budget_err {
-            Some(err) => Err(err),
-            None => Ok((snap, added)),
-        }
+/// One query's handle on a [`ConcurrentRrIndex`]: the snapshot the query
+/// currently reads, replaced by whatever growth publishes.
+struct Reader<'a, 'g> {
+    index: &'a ConcurrentRrIndex<'g>,
+    snap: Arc<PoolState>,
+}
+
+impl CertifiedPool for Reader<'_, '_> {
+    type Error = IndexError;
+
+    fn view(&self) -> PoolView<'_> {
+        self.snap.view(self.index.g)
+    }
+
+    fn grow_to(&mut self, target_sets: usize) -> Result<usize, IndexError> {
+        let (snap, added) = self.index.grow_to(target_sets)?;
+        self.snap = snap;
+        Ok(added)
+    }
+
+    fn promote_sketch(&mut self, observed: u8) -> Result<usize, IndexError> {
+        let (snap, added) = self.index.promote_sketch(observed)?;
+        self.snap = snap;
+        Ok(added)
+    }
+
+    fn record_selection(&self, elapsed: Duration) {
+        self.index.metrics.record_selection(elapsed);
     }
 }
 

@@ -22,24 +22,21 @@
 //!
 //! # Merged selection
 //!
-//! Queries run the OPIM-C certification loop of
-//! [`subsim_delta::DeltaIndex`] verbatim, but the per-round evaluation is
-//! [`subsim_core::pool::evaluate_pool_sharded_indexed`]: per-shard
-//! coverage counts are summed into one global count vector, the greedy
-//! loop picks on the summed counts (identical heap keys, identical
-//! tie-breaks), and the Eq 1/Eq 2 certificate is evaluated on the union
-//! lengths. The answer — seeds, bounds, certification — is therefore
-//! **byte-identical** to the sequential `DeltaIndex` at every shard
-//! count, which the testkit simulator and a differential proptest
-//! enforce.
+//! Queries run the one OPIM-C loop every index runs
+//! ([`subsim_index::certified_query`]) over a [`PoolView`] holding every
+//! shard's slices and cached inverted indexes: per-shard coverage counts
+//! are summed into one global count vector, the greedy loop picks on the
+//! summed counts (identical heap keys, identical tie-breaks), and the
+//! Eq 1/Eq 2 certificate is evaluated on the union lengths. The answer —
+//! seeds, bounds, certification — is therefore **byte-identical** to the
+//! sequential `DeltaIndex` at every shard count, which the testkit
+//! simulator and a differential proptest enforce. With one shard this is
+//! the concurrent delta-stream server.
 
 use std::path::Path;
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::Instant;
-use subsim_core::bounds::{i_max, theta_max_opim, theta_zero};
-use subsim_core::pool::evaluate_pool_sharded_indexed;
-use subsim_core::sentinel::{evaluate_pool_sentinel_sharded, SentinelSet};
-use subsim_core::ImOptions;
+use std::time::{Duration, Instant};
+use subsim_core::sentinel::SentinelSet;
 use subsim_delta::{
     repair_half_indexed, repair_half_mapped, repair_sketch, DeltaError, GraphDelta, RepairReport,
     ServeError, ServeIndex, VersionedGraph,
@@ -48,10 +45,11 @@ use subsim_diffusion::pool::{PoolError, WorkerPool};
 use subsim_diffusion::{InvertedIndex, RrCollection, RrSampler};
 use subsim_graph::{Graph, NodeId};
 use subsim_index::{
-    IndexConfig, IndexError, IndexMetrics, MetricsSnapshot, QueryAnswer, QueryStats, RrIndex,
-    SentinelState, R2_STREAM, SENTINEL_WARMUP_CHUNKS,
+    certified_query, CertifiedPool, IndexConfig, IndexError, IndexMetrics, MetricsSnapshot,
+    PoolState, PoolView, QueryAnswer, RrIndex, SentinelState, Validation, R2_STREAM,
+    SENTINEL_WARMUP_CHUNKS,
 };
-use subsim_sketch::{evaluate_pool_sketched_sharded, SketchedPool, MAX_PRECISION};
+use subsim_sketch::SketchedPool;
 
 /// One shard's regenerated `R₂` chunk stream during a precision
 /// promotion: the owned global chunk ids plus the fresh generation
@@ -158,31 +156,32 @@ impl ShardedSnapshot {
         self.shards.iter().map(|sh| sh.r1.len()).sum()
     }
 
-    fn r1_refs(&self) -> Vec<&RrCollection> {
-        self.shards.iter().map(|sh| &sh.r1).collect()
-    }
-
-    fn r2_refs(&self) -> Vec<&RrCollection> {
-        self.shards.iter().map(|sh| &sh.r2).collect()
-    }
-
-    fn idx_refs(&self) -> Vec<&InvertedIndex> {
-        self.shards.iter().map(|sh| &sh.idx1).collect()
-    }
-
-    fn sketch_refs(&self) -> Option<Vec<&SketchedPool>> {
-        self.shards
-            .iter()
-            .map(|sh| sh.sketch.as_ref())
-            .collect::<Option<Vec<_>>>()
-            .filter(|v| !v.is_empty())
+    /// The view one certification round reads: every shard's slices
+    /// and cached indexes.
+    fn view(&self) -> PoolView<'_> {
+        let sketches: Option<Vec<&SketchedPool>> =
+            self.shards.iter().map(|sh| sh.sketch.as_ref()).collect();
+        PoolView {
+            r1: self.shards.iter().map(|sh| &sh.r1).collect(),
+            idx: Some(self.shards.iter().map(|sh| &sh.idx1).collect()),
+            validation: match sketches {
+                Some(sks) => Validation::Sketched(sks),
+                None => Validation::Exact(self.shards.iter().map(|sh| &sh.r2).collect()),
+            },
+            sentinel: self.sentinel.as_ref().map(|st| &st.set),
+            graph: &self.graph,
+        }
     }
 
     /// Merges the per-shard sketches into one union sketched pool — the
     /// exact pool a single-shard (or sequential) index holds at the same
     /// cursor. `None` when the sketch tier is inactive.
     pub fn union_sketch(&self) -> Option<SketchedPool> {
-        let refs = self.sketch_refs()?;
+        let refs: Vec<&SketchedPool> = self
+            .shards
+            .iter()
+            .map(|sh| sh.sketch.as_ref())
+            .collect::<Option<_>>()?;
         let mut union =
             SketchedPool::new(self.graph.n(), refs[0].chunk_size(), refs[0].precision());
         for sk in refs {
@@ -330,16 +329,32 @@ impl ShardedDeltaIndex {
         Ok(())
     }
 
+    /// Installs (or clears) a fault-injection hook on every shard's
+    /// generation workers — see [`WorkerPool::set_chunk_hook`]. Test
+    /// instrumentation; production code leaves it unset.
+    #[doc(hidden)]
+    pub fn set_chunk_hook(&self, hook: Option<subsim_diffusion::ChunkHook>) {
+        let ws = self.writer.lock().expect("writer lock poisoned");
+        for pool in &ws.pools {
+            pool.set_chunk_hook(hook.clone());
+        }
+    }
+
     /// Answers one IM query against the latest published version;
     /// per-query semantics match [`subsim_delta::DeltaIndex::query`] bit
-    /// for bit.
+    /// for bit. If a delta lands between certification rounds the query
+    /// continues on the repaired (newer) snapshot — use
+    /// [`ShardedDeltaIndex::query_at_version`] to demand version
+    /// stability instead.
     pub fn query(&self, k: usize, epsilon: f64, delta: f64) -> Result<QueryAnswer, DeltaError> {
         self.query_inner(k, epsilon, delta, None)
     }
 
     /// Like [`ShardedDeltaIndex::query`], pinned to an exact graph
     /// version: fails with [`DeltaError::StaleVersion`] when the served
-    /// version differs at query start or after any growth round.
+    /// version differs at query start or after any growth round. The
+    /// certification itself always runs on one immutable snapshot, so a
+    /// successful answer is entirely version-`version` data.
     pub fn query_at_version(
         &self,
         version: u64,
@@ -357,123 +372,14 @@ impl ShardedDeltaIndex {
         delta: f64,
         pin: Option<u64>,
     ) -> Result<QueryAnswer, DeltaError> {
-        let mut snap = self.load();
-        check_pin(pin, &snap)?;
-        let opts = ImOptions::new(k).epsilon(epsilon).delta(delta);
-        opts.validate(&snap.graph).map_err(IndexError::from)?;
-        let start = Instant::now();
-        let n = snap.graph.n();
-        let target = 1.0 - (-1.0f64).exp() - epsilon;
-        let theta_max = theta_max_opim(n, k, epsilon, delta);
-        let theta0 = theta_zero(delta);
-        let imax = i_max(theta_max, theta0);
-        let delta_iter = delta / (3.0 * imax as f64);
-
-        let pool_before = snap.pool_len();
-        let mut fresh = 0usize;
-        if snap.pool_len() < theta0 as usize {
-            let (grown, added) = self.grow_to(theta0 as usize)?;
-            snap = grown;
-            check_pin(pin, &snap)?;
-            fresh += added;
-        }
-        let mut rounds = 0u32;
-        loop {
-            rounds += 1;
-            let cert_start = Instant::now();
-            // Sentinel snapshots re-certify through the HIST-style round
-            // on the sharded refs — same merged counts, same union-length
-            // bounds — so the answer keeps the full (k, ε, δ) guarantee.
-            // Sketched snapshots run the slack-adjusted round on the
-            // merged per-shard registers (max is order-independent, so
-            // the estimate matches the sequential index bit for bit).
-            let (seeds, lower, upper, slack_failed) = if let Some(sketches) = snap.sketch_refs() {
-                let eval = evaluate_pool_sketched_sharded(
-                    &snap.r1_refs(),
-                    Some(&snap.idx_refs()),
-                    &sketches,
-                    k,
-                    delta_iter,
-                    delta_iter,
-                    self.config.threads,
-                );
-                let slack = eval.failed_on_slack(target);
-                (eval.seeds, eval.lower, eval.upper, slack)
-            } else {
-                let eval = match snap.sentinel.as_ref().filter(|st| !st.set.is_empty()) {
-                    Some(st) => evaluate_pool_sentinel_sharded(
-                        &snap.r1_refs(),
-                        &snap.r2_refs(),
-                        &st.set,
-                        &snap.graph,
-                        k,
-                        delta_iter,
-                        delta_iter,
-                        self.config.threads,
-                    ),
-                    None => evaluate_pool_sharded_indexed(
-                        &snap.r1_refs(),
-                        &snap.idx_refs(),
-                        &snap.r2_refs(),
-                        k,
-                        delta_iter,
-                        delta_iter,
-                        self.config.threads,
-                    ),
-                };
-                (eval.seeds, eval.lower, eval.upper, false)
-            };
-            self.metrics.record_selection(cert_start.elapsed());
-            let certified = if upper <= 0.0 {
-                false
-            } else {
-                lower / upper > target
-            };
-            if certified || snap.pool_len() as f64 >= theta_max {
-                let stats = QueryStats {
-                    k,
-                    epsilon,
-                    delta,
-                    pool_before,
-                    pool_after: snap.pool_len(),
-                    fresh_sets: fresh,
-                    rounds,
-                    lower_bound: lower,
-                    upper_bound: upper,
-                    target_ratio: target,
-                    certified_by_bounds: certified,
-                    elapsed: start.elapsed(),
-                };
-                self.metrics.record_query(&stats);
-                return Ok(QueryAnswer { seeds, stats });
-            }
-            // Error-adaptive ladder, as in the sequential index: a round
-            // that failed on sketch slack promotes register precision
-            // instead of growing the pool — every shard promotes in the
-            // same step, so shards never serve at mixed precision.
-            if slack_failed {
-                let observed = snap
-                    .shards
-                    .first()
-                    .and_then(|sh| sh.sketch.as_ref())
-                    .map(|sk| sk.precision());
-                if observed.is_some_and(|p| p < MAX_PRECISION) {
-                    let (grown, added) = self.promote_sketch(observed.unwrap())?;
-                    snap = grown;
-                    check_pin(pin, &snap)?;
-                    fresh += added;
-                    continue;
-                }
-            }
-            let next = snap
-                .pool_len()
-                .saturating_mul(2)
-                .min(theta_max.ceil() as usize);
-            let (grown, added) = self.grow_to(next)?;
-            snap = grown;
-            check_pin(pin, &snap)?;
-            fresh += added;
-        }
+        let mut reader = Reader {
+            index: self,
+            snap: self.load(),
+            pin,
+        };
+        let answer = certified_query(&mut reader, k, epsilon, delta, self.config.threads)?;
+        self.metrics.record_query(&answer.stats);
+        Ok(answer)
     }
 
     /// Error-adaptive ladder step: every shard regenerates its owned
@@ -1176,17 +1082,17 @@ impl ShardedDeltaIndex {
         let ws = self.writer.lock().expect("writer lock poisoned");
         let snap = self.load();
         let (r1, r2) = snap.union_pools(self.config.chunk_size);
-        let mut idx = match snap.union_sketch() {
-            // Sketched tier: the per-shard sketches merge losslessly
-            // (register-wise max over disjoint chunk sets) into the exact
-            // union a sequential index persists.
-            Some(sk) => {
-                RrIndex::from_sketched_parts(&snap.graph, self.config, r1, sk, snap.chunks)?
-            }
-            None => RrIndex::from_pool_parts(&snap.graph, self.config, r1, r2, snap.chunks)?,
+        let pool = PoolState {
+            r1,
+            r2,
+            chunks: snap.chunks,
+            sentinel: snap.sentinel.clone(),
+            // The per-shard sketches merge losslessly (register-wise max
+            // over disjoint chunk sets) into the union a sequential index
+            // persists.
+            sketch: snap.union_sketch(),
         };
-        idx.set_sentinel_state(snap.sentinel.clone())?;
-        idx.save_to_path(path)?;
+        RrIndex::from_state(&snap.graph, self.config, pool)?.save_to_path(path)?;
         drop(ws);
         Ok(())
     }
@@ -1206,11 +1112,18 @@ impl ShardedDeltaIndex {
     ) -> Result<Self, DeltaError> {
         assert!(shards > 0, "need at least one shard");
         let vg = VersionedGraph::new(g)?;
-        let mut loaded = RrIndex::load_from_path(vg.graph(), path)?;
+        let loaded = RrIndex::load_from_path(vg.graph(), path)?;
         loaded.ensure_strategy(config.strategy)?;
-        let sentinel = loaded.take_sentinel_state();
-        let sketch = loaded.take_sketch_state();
-        let (loaded_config, r1, r2, chunks) = loaded.into_pool_parts();
+        let (
+            loaded_config,
+            PoolState {
+                r1,
+                r2,
+                chunks,
+                sentinel,
+                sketch,
+            },
+        ) = loaded.into_state();
         let config = IndexConfig {
             threads: config.threads,
             max_nodes: config.max_nodes,
@@ -1266,6 +1179,11 @@ impl ShardedDeltaIndex {
     }
 
     fn publish(&self, snap: Arc<ShardedSnapshot>) {
+        self.metrics.record_pool_parts(
+            snap.shards
+                .iter()
+                .map(|sh| (&sh.r1, &sh.r2, sh.sketch.as_ref())),
+        );
         *self.snapshot.write().expect("snapshot lock poisoned") = snap;
         self.metrics
             .snapshot_publishes
@@ -1371,13 +1289,46 @@ fn repair_shard_half_sentinel(
     Ok((rr, dirty_set_count, dirty_local.len(), hits))
 }
 
-fn check_pin(pin: Option<u64>, snap: &ShardedSnapshot) -> Result<(), DeltaError> {
-    match pin {
-        Some(requested) if requested != snap.version => Err(DeltaError::StaleVersion {
-            requested,
-            current: snap.version,
-        }),
-        _ => Ok(()),
+/// One query's handle on a [`ShardedDeltaIndex`]: the snapshot the query
+/// currently reads (replaced by whatever growth publishes) and the
+/// version it is pinned to, if any.
+struct Reader<'a> {
+    index: &'a ShardedDeltaIndex,
+    snap: Arc<ShardedSnapshot>,
+    pin: Option<u64>,
+}
+
+impl CertifiedPool for Reader<'_> {
+    type Error = DeltaError;
+
+    fn view(&self) -> PoolView<'_> {
+        self.snap.view()
+    }
+
+    fn grow_to(&mut self, target_sets: usize) -> Result<usize, DeltaError> {
+        let (snap, added) = self.index.grow_to(target_sets)?;
+        self.snap = snap;
+        Ok(added)
+    }
+
+    fn promote_sketch(&mut self, observed: u8) -> Result<usize, DeltaError> {
+        let (snap, added) = self.index.promote_sketch(observed)?;
+        self.snap = snap;
+        Ok(added)
+    }
+
+    fn check_pin(&self) -> Result<(), DeltaError> {
+        match self.pin {
+            Some(requested) if requested != self.snap.version => Err(DeltaError::StaleVersion {
+                requested,
+                current: self.snap.version,
+            }),
+            _ => Ok(()),
+        }
+    }
+
+    fn record_selection(&self, elapsed: Duration) {
+        self.index.metrics.record_selection(elapsed);
     }
 }
 

@@ -7,7 +7,7 @@
 //! wall-clock, never output.
 
 use proptest::prelude::*;
-use subsim_delta::{DeltaIndex, GraphDelta};
+use subsim_delta::{DeltaError, DeltaIndex, GraphDelta};
 use subsim_diffusion::RrStrategy;
 use subsim_graph::generators::barabasi_albert;
 use subsim_graph::{Graph, WeightModel};
@@ -267,7 +267,7 @@ fn assert_pools_eq(seq: &DeltaIndex, sharded: &ShardedDeltaIndex, tag: &str) {
 #[test]
 fn sentinel_sharded_matches_sequential_across_deltas() {
     let g = graph(250, 47);
-    for shards in [2usize, 3] {
+    for shards in [1usize, 2, 3] {
         let mut seq = DeltaIndex::new(g.clone(), sentinel_config()).unwrap();
         let sharded = ShardedDeltaIndex::new(g.clone(), sentinel_config(), shards).unwrap();
         seq.warm(320).unwrap();
@@ -536,4 +536,120 @@ fn lt_sharded_snapshot_round_trips_and_refuses_ic_servers() {
     assert!(msg.contains("snapshot rejected"), "{msg}");
     assert!(msg.contains("Lt") && msg.contains("SubsimIc"), "{msg}");
     std::fs::remove_file(&path).ok();
+}
+
+/// Applying a delta invalidates old snapshots semantically, never in
+/// memory: an `Arc` loaded before the delta still shows exactly the old
+/// pool and graph, and the successor is at the next version.
+#[test]
+fn old_snapshots_stay_readable_after_delta() {
+    let g = graph(200, 43);
+    for shards in [1usize, 2] {
+        let index = ShardedDeltaIndex::new(g.clone(), config(), shards).unwrap();
+        index.warm(128).unwrap();
+        let before = index.load();
+        let (first, _) = before.union_pools(config().chunk_size);
+        let hub = (0..before.graph().n() as u32)
+            .max_by_key(|&v| before.graph().in_degree(v))
+            .unwrap();
+        let u = (0..before.graph().n() as u32)
+            .find(|&u| before.graph().prob_of_edge(u, hub).is_none())
+            .expect("some node lacks an edge to the hub");
+        index
+            .apply_delta(&GraphDelta::new().insert_edge(u, hub, 0.7))
+            .unwrap();
+        assert_eq!(before.version(), 0, "shards={shards}");
+        let (still, _) = before.union_pools(config().chunk_size);
+        for i in 0..first.len() {
+            assert_eq!(still.get(i), first.get(i), "shards={shards} set {i}");
+        }
+        let after = index.load();
+        assert_eq!(after.version(), 1, "shards={shards}");
+        assert_ne!(after.fingerprint(), before.fingerprint(), "shards={shards}");
+        assert_eq!(after.pool_len(), before.pool_len(), "shards={shards}");
+    }
+}
+
+/// Readers racing a writer that applies deltas never see a torn state:
+/// every query answers with `k` seeds, and the counters add up.
+#[test]
+fn concurrent_queries_race_deltas_without_tearing() {
+    let g = graph(300, 44);
+    for shards in [1usize, 2] {
+        let index = ShardedDeltaIndex::new(g.clone(), config(), shards).unwrap();
+        index.warm(256).unwrap();
+        std::thread::scope(|s| {
+            for _ in 0..3 {
+                s.spawn(|| {
+                    for _ in 0..5 {
+                        let ans = index.query(4, 0.15, 0.05).unwrap();
+                        assert_eq!(ans.seeds.len(), 4);
+                    }
+                });
+            }
+            s.spawn(|| {
+                for i in 0..4u32 {
+                    index
+                        .apply_delta(&GraphDelta::new().insert_edge(i, 299 - i, 0.3))
+                        .unwrap();
+                }
+            });
+        });
+        assert_eq!(index.version(), 4, "shards={shards}");
+        let m = index.metrics();
+        assert_eq!(m.deltas_applied, 4, "shards={shards}");
+        assert_eq!(m.queries, 15, "shards={shards}");
+    }
+}
+
+/// Concurrent serving surfaces version skew as a typed
+/// [`DeltaError::StaleVersion`], never a panic or a silent wrong answer.
+#[test]
+fn pinned_concurrent_queries_fail_typed_after_delta() {
+    let g = graph(150, 12);
+    let (iu, iv) = (0..g.n() as u32)
+        .flat_map(|u| (0..g.n() as u32).map(move |v| (u, v)))
+        .find(|&(u, v)| u != v && g.prob_of_edge(u, v).is_none())
+        .expect("some edge is absent");
+    for shards in [1usize, 2] {
+        let index = ShardedDeltaIndex::new(g.clone(), config(), shards).unwrap();
+        index.warm(150).unwrap();
+        let pinned = index.version();
+        index.query_at_version(pinned, 3, 0.15, 0.05).unwrap();
+        index
+            .apply_delta(&GraphDelta::new().insert_edge(iu, iv, 0.4))
+            .unwrap();
+        match index.query_at_version(pinned, 3, 0.15, 0.05) {
+            Err(DeltaError::StaleVersion { requested, current }) => {
+                assert_eq!(requested, pinned);
+                assert_eq!(current, pinned + 1);
+            }
+            other => panic!("shards={shards}: expected StaleVersion, got {other:?}"),
+        }
+    }
+}
+
+/// Every publish sets the resident-memory gauges, summed over shards:
+/// the exact bytes depend only on the pool, not on how it is split, and
+/// a sketched index reports its sketch bytes.
+#[test]
+fn pool_byte_gauges_are_summed_over_shards() {
+    let g = graph(200, 45);
+    let mut exact = Vec::new();
+    for shards in [1usize, 2, 3] {
+        let index = ShardedDeltaIndex::new(g.clone(), config(), shards).unwrap();
+        index.warm(320).unwrap();
+        let m = index.metrics();
+        assert!(m.exact_pool_bytes > 0, "shards={shards}");
+        assert_eq!(m.sketch_pool_bytes, 0, "shards={shards}");
+        exact.push(m.exact_pool_bytes);
+    }
+    assert!(exact.windows(2).all(|w| w[0] == w[1]), "{exact:?}");
+    let index = ShardedDeltaIndex::new(g, sketch_config(), 2).unwrap();
+    index.warm(320).unwrap();
+    let m = index.metrics();
+    assert!(m.exact_pool_bytes > 0);
+    assert!(m.sketch_pool_bytes > 0);
+    assert!(m.sketch_displaced_bytes > 0);
+    assert!(m.sketch_compression > 0.0);
 }

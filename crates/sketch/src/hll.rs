@@ -111,6 +111,14 @@ pub fn rel_std_error(precision: u8) -> f64 {
     1.04 / (num_registers(precision) as f64).sqrt()
 }
 
+/// How many relative standard errors a union estimate is deflated by
+/// before it enters Eq. 1. The estimator is asymptotically unbiased with
+/// roughly Gaussian relative error, so two sigmas keep the one-sided
+/// chance that the deflated value overshoots the true coverage under
+/// 2.3% per certification round — folded into the `δ` budget alongside
+/// the sampling error.
+pub const SLACK_SIGMAS: f64 = 2.0;
+
 /// Register-wise max merge: `dst[i] = max(dst[i], src[i])`.
 ///
 /// This is the (only) sketch union operation — associative, commutative,

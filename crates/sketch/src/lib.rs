@@ -22,19 +22,15 @@
 //!   per-shard sketches fold into exactly the sequential registers for
 //!   any shard count, and per-chunk sub-sketches let delta repair
 //!   rebuild only dirty chunks bit-identically to a full rebuild.
-//! - **Conservative certificate** ([`evaluate`]): the union estimate is
-//!   deflated by [`evaluate::SLACK_SIGMAS`] standard errors before Eq. 1,
-//!   so a passing certificate still carries the `(1 - 1/e - ε)`
-//!   guarantee; [`SketchedEvaluation::failed_on_slack`] tells the caller
-//!   when to promote precision (the error-adaptive ladder) instead of
-//!   growing the pool.
+//! - **Conservative certificate**: the union estimate is deflated by
+//!   [`SLACK_SIGMAS`] standard errors before Eq. 1, so a passing
+//!   certificate still carries the `(1 - 1/e - ε)` guarantee. The round
+//!   itself is `subsim_index::certify`, which also tells the caller when
+//!   a failure was due to the slack alone — the cue to promote precision
+//!   (the error-adaptive ladder) instead of growing the pool.
 
-pub mod evaluate;
 pub mod hll;
 pub mod pool;
 
-pub use evaluate::{
-    evaluate_pool_sketched, evaluate_pool_sketched_sharded, SketchedEvaluation, SLACK_SIGMAS,
-};
-pub use hll::{DEFAULT_PRECISION, MAX_PRECISION, MIN_PRECISION};
+pub use hll::{DEFAULT_PRECISION, MAX_PRECISION, MIN_PRECISION, SLACK_SIGMAS};
 pub use pool::{ChunkSketch, SketchedPool, SKETCH_MAGIC};

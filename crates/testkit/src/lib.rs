@@ -23,7 +23,7 @@
 //! - [`sim`] — a **deterministic serving simulator**: a single `u64`
 //!   seed generates a whole serving session (interleaved queries,
 //!   version-pinned queries, and graph deltas), drives the real
-//!   concurrent serving path with it, and replays the same session
+//!   sharded serving path with it at any shard count, and replays the same session
 //!   against the sequential model index. Any divergence reproduces
 //!   bit-identically from the printed seed.
 //! - [`fault`] — **fault injection**: a byte-level faulty reader for
@@ -50,13 +50,5 @@ pub mod stats;
 pub use fault::{panic_on_chunk, panic_on_chunk_id, Fault, FaultyReader};
 pub use lt_oracle::{mc_certified_lt, ExactLtOracle, MAX_LT_ORACLE_WORLDS};
 pub use oracle::{mc_certified, CertifiedEstimate, ExactOracle, MAX_ORACLE_EDGES};
-pub use sim::{
-    check_seed, check_seed_lt, check_seed_lt_sentinel, check_seed_lt_sketch, check_seed_sentinel,
-    check_seed_sharded, check_seed_sharded_lt, check_seed_sharded_lt_sketch,
-    check_seed_sharded_sentinel, check_seed_sharded_sketch, check_seed_sketch, generate_script,
-    run_concurrent, run_concurrent_lt, run_concurrent_sentinel, run_concurrent_sketch,
-    run_sequential_model, run_sequential_model_lt, run_sequential_model_sentinel,
-    run_sequential_model_sketch, run_sharded, run_sharded_lt, run_sharded_sentinel,
-    run_sharded_sketch, SimOutcome, SimStep,
-};
+pub use sim::{check_seed, generate_script, run_model, run_serving, Sim, SimOutcome, SimStep};
 pub use stats::{chi_square_critical, chi_square_stat, hoeffding_half_width, merge_small_bins};

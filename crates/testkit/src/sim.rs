@@ -4,20 +4,18 @@
 //! interleaving of influence queries, version-pinned queries (some
 //! deliberately stale), graph delta ops, and malformed lines — via
 //! [`generate_script`]. The script then drives two independent
-//! executions:
+//! executions, both configured by one [`Sim`] (index config, pre-serving
+//! warmup, shard count):
 //!
-//! - [`run_concurrent`] feeds it through the *real* serving stack:
-//!   [`subsim_delta::serve_queries`] over a [`ConcurrentDeltaIndex`],
-//!   with reader, worker, and collector threads exactly as the CLI runs
-//!   them (one query worker, so answers are a pure function of the
-//!   script — delta lines are already a barrier in the loop).
-//! - [`run_sequential_model`] replays the same lines against the plain
-//!   sequential [`DeltaIndex`] — the model whose semantics the
-//!   concurrent stack promises to match bit-for-bit.
-//! - [`run_sharded`] swaps the index for an N-shard
-//!   [`ShardedDeltaIndex`], model-checking that chunk-ownership sharding
-//!   leaves a serving session a pure function of its input for every
-//!   shard count ([`check_seed_sharded`]).
+//! - [`run_serving`] feeds it through the *real* serving stack:
+//!   [`subsim_delta::serve_queries`] over a [`ShardedDeltaIndex`] with
+//!   `sim.shards` shards, with reader, worker, and collector threads
+//!   exactly as the CLI runs them (one query worker, so answers are a
+//!   pure function of the script — delta lines are already a barrier in
+//!   the loop). One shard is the CLI's `--delta-stream` server.
+//! - [`run_model`] replays the same lines against the plain sequential
+//!   [`DeltaIndex`] — the model whose semantics the serving stack
+//!   promises to match bit-for-bit at every shard count.
 //!
 //! Both produce a [`SimOutcome`]: one canonical record per script line
 //! (`ok <seeds>`, `applied v<version> regen=<sets>`, `stale ...`,
@@ -26,15 +24,15 @@
 //! counterexample replays bit-identically from the printed seed.
 //!
 //! Every generated line is textually unique (ε and p carry a per-step
-//! jitter in their last digits), which is what lets the concurrent
-//! run's events be re-associated with script lines unambiguously.
+//! jitter in their last digits), which is what lets the serving run's
+//! events be re-associated with script lines unambiguously.
 
 use rand::Rng;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Mutex;
 use subsim_delta::{
-    parse_query, serve_queries, ConcurrentDeltaIndex, DeltaError, DeltaIndex, GraphDelta,
-    LineError, ServeError, ServeEvent, ServeIndex, ServeSink,
+    parse_query, serve_queries, DeltaError, DeltaIndex, GraphDelta, LineError, ServeError,
+    ServeEvent, ServeSink,
 };
 use subsim_diffusion::RrStrategy;
 use subsim_graph::{Graph, NodeId};
@@ -43,56 +41,6 @@ use subsim_serve::ShardedDeltaIndex;
 
 /// The `δ` every simulated query uses.
 const SIM_DELTA: f64 = 0.1;
-
-/// Index configuration shared by the concurrent run and the model: the
-/// pool must be a pure function of its size for the comparison to be
-/// exact, which holds for any fixed `(strategy, seed, chunk_size)`.
-fn base_config(strategy: RrStrategy) -> IndexConfig {
-    IndexConfig::new(strategy)
-        .seed(42)
-        .chunk_size(32)
-        .threads(2)
-}
-
-/// The default simulated workload: subsim-style IC.
-fn sim_config() -> IndexConfig {
-    base_config(RrStrategy::SubsimIc)
-}
-
-/// [`sim_config`] under Linear Threshold: the pool grows chain-shaped
-/// LT RR sets through the identical serving machinery. Purity of the
-/// pool in its size holds exactly as for IC — the LT sampler is seeded
-/// per chunk the same way.
-fn sim_config_lt() -> IndexConfig {
-    base_config(RrStrategy::Lt)
-}
-
-/// [`sim_config`] with the sentinel tier enabled: chunks past the
-/// warmup prefix run through the stopped-RR wrapper over a 2-node
-/// sentinel set. Pool content stays a pure function of its size, so the
-/// model check carries over unchanged.
-fn sim_config_sentinel() -> IndexConfig {
-    sim_config().sentinels(2)
-}
-
-/// [`sim_config`] with the sketched validation tier enabled: the exact
-/// R₂ arena is displaced by per-node HLL count-distinct sketches at
-/// register precision 6. Sketch content is a pure function of pool
-/// size (deterministic hashing, no sampled state), so the model check
-/// carries over unchanged.
-fn sim_config_sketch() -> IndexConfig {
-    sim_config().sketch(6)
-}
-
-/// [`sim_config_lt`] with the sentinel tier enabled under LT.
-fn sim_config_lt_sentinel() -> IndexConfig {
-    sim_config_lt().sentinels(2)
-}
-
-/// [`sim_config_lt`] with the sketched validation tier enabled under LT.
-fn sim_config_lt_sketch() -> IndexConfig {
-    sim_config_lt().sketch(6)
-}
 
 /// Sets every sentinel-enabled run pre-grows to before serving: past
 /// the 4-chunk warmup boundary, so the sentinel tier is active (and
@@ -104,8 +52,89 @@ const SENTINEL_WARM_SETS: usize = 320;
 /// rather than growing from zero.
 const SKETCH_WARM_SETS: usize = 320;
 
+/// One simulated serving setup, shared by the serving run and the model.
+///
+/// The pool must be a pure function of its size for the comparison to
+/// be exact, which holds for any fixed `(strategy, seed, chunk_size)` and
+/// for every tier: the sentinel set is selected at a fixed chunk
+/// boundary and sketch content is deterministic hashing of pool content.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Sim {
+    /// The index configuration both executions use.
+    pub config: IndexConfig,
+    /// Sets per half both indexes pre-grow to before the script (`0`:
+    /// none).
+    pub warm: usize,
+    /// Shards of the serving index (the model is always sequential).
+    pub shards: usize,
+}
+
+impl Sim {
+    /// Subsim-style IC on one shard, no warmup — the default workload.
+    pub fn ic() -> Self {
+        Self::with_strategy(RrStrategy::SubsimIc)
+    }
+
+    /// Linear Threshold: chain-shaped LT RR sets through the identical
+    /// serving machinery (the LT sampler is seeded per chunk the same
+    /// way, so pool purity holds exactly as for IC).
+    pub fn lt() -> Self {
+        Self::with_strategy(RrStrategy::Lt)
+    }
+
+    fn with_strategy(strategy: RrStrategy) -> Self {
+        Sim {
+            config: IndexConfig::new(strategy)
+                .seed(42)
+                .chunk_size(32)
+                .threads(2),
+            warm: 0,
+            shards: 1,
+        }
+    }
+
+    /// Enables the sentinel tier over a 2-node set and warms past its
+    /// boundary, so every scripted query serves from truncated pools.
+    pub fn sentinel(self) -> Self {
+        Sim {
+            config: self.config.sentinels(2),
+            warm: SENTINEL_WARM_SETS,
+            ..self
+        }
+    }
+
+    /// Enables the sketched validation tier at register precision 6 and
+    /// warms the sketch first.
+    pub fn sketch(self) -> Self {
+        Sim {
+            config: self.config.sketch(6),
+            warm: SKETCH_WARM_SETS,
+            ..self
+        }
+    }
+
+    /// Serves from `shards` shards.
+    pub fn shards(self, shards: usize) -> Self {
+        Sim { shards, ..self }
+    }
+
+    fn label(&self) -> String {
+        let mut label = format!("sharded({})", self.shards);
+        if self.config.strategy == RrStrategy::Lt {
+            label.push_str("+lt");
+        }
+        if self.config.sentinels > 0 {
+            label.push_str("+sentinel");
+        }
+        if self.config.sketch > 0 {
+            label.push_str("+sketch");
+        }
+        label
+    }
+}
+
 /// What one script line did, in canonical text form (identical between
-/// the concurrent run and the sequential model when behavior matches).
+/// the serving run and the sequential model when behavior matches).
 pub type SimStep = String;
 
 /// The outcome of one simulated serving session.
@@ -223,7 +252,7 @@ fn render_failure(error: &LineError) -> String {
     }
 }
 
-/// Event recorder for the concurrent run.
+/// Event recorder for the serving run.
 #[derive(Default)]
 struct Recorder(Mutex<Vec<ServeEvent>>);
 
@@ -233,108 +262,22 @@ impl ServeSink for Recorder {
     }
 }
 
-/// Runs `script` through the real concurrent serving stack under an
-/// arbitrary [`IndexConfig`], warming the index to `warm_sets` first
-/// when nonzero.
-fn run_concurrent_cfg(
-    g: &Graph,
-    script: &[String],
-    config: IndexConfig,
-    warm: usize,
-) -> SimOutcome {
-    let index = ConcurrentDeltaIndex::new(g.clone(), config).expect("simulated index builds");
-    if warm > 0 {
-        index.warm(warm).expect("index warmup");
-    }
-    run_serve_stack(&index, script)
-}
-
-/// Runs `script` through an N-shard [`ShardedDeltaIndex`] under an
-/// arbitrary [`IndexConfig`], warming first when `warm > 0`.
-fn run_sharded_cfg(
-    g: &Graph,
-    script: &[String],
-    shards: usize,
-    config: IndexConfig,
-    warm: usize,
-) -> SimOutcome {
+/// Runs `script` through the real serving stack — [`serve_queries`] with
+/// one query worker over a [`ShardedDeltaIndex`] built from `sim` — and
+/// canonicalizes the result. Panics on internal serving errors: those
+/// are test failures, not simulation outcomes.
+pub fn run_serving(g: &Graph, script: &[String], sim: Sim) -> SimOutcome {
     let index =
-        ShardedDeltaIndex::new(g.clone(), config, shards).expect("simulated sharded index builds");
-    if warm > 0 {
-        index.warm(warm).expect("index warmup");
+        ShardedDeltaIndex::new(g.clone(), sim.config, sim.shards).expect("simulated index builds");
+    if sim.warm > 0 {
+        index.warm(sim.warm).expect("index warmup");
     }
     run_serve_stack(&index, script)
 }
 
-/// Replays `script` against the sequential [`DeltaIndex`] under an
-/// arbitrary [`IndexConfig`], warming first when `warm > 0`.
-fn run_model_cfg(g: &Graph, script: &[String], config: IndexConfig, warm: usize) -> SimOutcome {
-    let mut index = DeltaIndex::new(g.clone(), config).expect("simulated index builds");
-    if warm > 0 {
-        index.warm(warm).expect("index warmup");
-    }
-    run_model(index, script)
-}
-
-/// Runs `script` through the real concurrent serving stack (one query
-/// worker, so the outcome is deterministic) and canonicalizes the
-/// result. Panics on internal serving errors — those are test failures,
-/// not simulation outcomes.
-pub fn run_concurrent(g: &Graph, script: &[String]) -> SimOutcome {
-    run_concurrent_cfg(g, script, sim_config(), 0)
-}
-
-/// [`run_concurrent`] with the sentinel tier active: the index warms
-/// past the sentinel boundary before the script starts, so every
-/// scripted query serves from truncated pools.
-pub fn run_concurrent_sentinel(g: &Graph, script: &[String]) -> SimOutcome {
-    run_concurrent_cfg(g, script, sim_config_sentinel(), SENTINEL_WARM_SETS)
-}
-
-/// [`run_concurrent`] with the sketched validation tier active: every
-/// scripted query certifies through the slack-widened OPIM bound over
-/// the HLL sketches (promoting precision when the slack blocks it).
-pub fn run_concurrent_sketch(g: &Graph, script: &[String]) -> SimOutcome {
-    run_concurrent_cfg(g, script, sim_config_sketch(), SKETCH_WARM_SETS)
-}
-
-/// [`run_concurrent`] under Linear Threshold: the identical serving
-/// stack, pool of chain-shaped LT RR sets.
-pub fn run_concurrent_lt(g: &Graph, script: &[String]) -> SimOutcome {
-    run_concurrent_cfg(g, script, sim_config_lt(), 0)
-}
-
-/// Runs `script` through the serving loop over an N-shard
-/// [`ShardedDeltaIndex`] — the model check that chunk-ownership sharding
-/// keeps serving a pure function of the script, byte-identical to the
-/// sequential model for every shard count.
-pub fn run_sharded(g: &Graph, script: &[String], shards: usize) -> SimOutcome {
-    run_sharded_cfg(g, script, shards, sim_config(), 0)
-}
-
-/// [`run_sharded`] with the sentinel tier active (see
-/// [`run_concurrent_sentinel`]): sentinels are selected globally and
-/// applied per shard, and the outcome must still match the sequential
-/// sentinel model byte for byte.
-pub fn run_sharded_sentinel(g: &Graph, script: &[String], shards: usize) -> SimOutcome {
-    run_sharded_cfg(g, script, shards, sim_config_sentinel(), SENTINEL_WARM_SETS)
-}
-
-/// [`run_sharded`] with the sketched validation tier active: per-shard
-/// sketches over owned chunks, merged at certification, must serve the
-/// exact session the sequential sketch model does for every shard count.
-pub fn run_sharded_sketch(g: &Graph, script: &[String], shards: usize) -> SimOutcome {
-    run_sharded_cfg(g, script, shards, sim_config_sketch(), SKETCH_WARM_SETS)
-}
-
-/// [`run_sharded`] under Linear Threshold.
-pub fn run_sharded_lt(g: &Graph, script: &[String], shards: usize) -> SimOutcome {
-    run_sharded_cfg(g, script, shards, sim_config_lt(), 0)
-}
-
-/// Drives any [`ServeIndex`] through [`serve_queries`] (one query
-/// worker) and canonicalizes the outcome.
-fn run_serve_stack<I: ServeIndex>(index: &I, script: &[String]) -> SimOutcome {
+/// Drives `index` through [`serve_queries`] (one query worker) and
+/// canonicalizes the outcome.
+fn run_serve_stack(index: &ShardedDeltaIndex, script: &[String]) -> SimOutcome {
     let input = format!("{}\n", script.join("\n"));
     let mut output = Vec::new();
     let rec = Recorder::default();
@@ -406,35 +349,22 @@ fn run_serve_stack<I: ServeIndex>(index: &I, script: &[String]) -> SimOutcome {
         .collect();
     SimOutcome {
         records,
-        final_version: ServeIndex::version(index).unwrap_or(0),
+        final_version: index.version(),
     }
 }
 
-/// Replays `script` against the sequential [`DeltaIndex`] — the
-/// reference semantics the concurrent stack must match.
-pub fn run_sequential_model(g: &Graph, script: &[String]) -> SimOutcome {
-    run_model_cfg(g, script, sim_config(), 0)
+/// Replays `script` against the sequential [`DeltaIndex`] built from
+/// `sim` (its shard count is ignored) — the reference semantics the
+/// serving stack must match.
+pub fn run_model(g: &Graph, script: &[String], sim: Sim) -> SimOutcome {
+    let mut index = DeltaIndex::new(g.clone(), sim.config).expect("simulated index builds");
+    if sim.warm > 0 {
+        index.warm(sim.warm).expect("index warmup");
+    }
+    replay(index, script)
 }
 
-/// [`run_sequential_model`] with the sentinel tier active and the same
-/// pre-serving warmup as the concurrent/sharded sentinel runs.
-pub fn run_sequential_model_sentinel(g: &Graph, script: &[String]) -> SimOutcome {
-    run_model_cfg(g, script, sim_config_sentinel(), SENTINEL_WARM_SETS)
-}
-
-/// [`run_sequential_model`] with the sketched validation tier active
-/// and the same pre-serving warmup as the concurrent/sharded sketch
-/// runs.
-pub fn run_sequential_model_sketch(g: &Graph, script: &[String]) -> SimOutcome {
-    run_model_cfg(g, script, sim_config_sketch(), SKETCH_WARM_SETS)
-}
-
-/// [`run_sequential_model`] under Linear Threshold.
-pub fn run_sequential_model_lt(g: &Graph, script: &[String]) -> SimOutcome {
-    run_model_cfg(g, script, sim_config_lt(), 0)
-}
-
-fn run_model(mut index: DeltaIndex, script: &[String]) -> SimOutcome {
+fn replay(mut index: DeltaIndex, script: &[String]) -> SimOutcome {
     let records = script
         .iter()
         .map(|line| {
@@ -481,161 +411,15 @@ fn run_model(mut index: DeltaIndex, script: &[String]) -> SimOutcome {
     }
 }
 
-/// Generates the script for `seed`, runs both executions, and compares.
-/// On divergence the error names the seed and the first differing line,
-/// so the failure replays bit-identically from that seed alone.
-pub fn check_seed(g: &Graph, seed: u64, steps: usize) -> Result<(), String> {
+/// Generates the script for `seed`, runs both executions under `sim`,
+/// and compares. On divergence the error names the setup, the seed and
+/// the first differing line, so the failure replays bit-identically from
+/// that seed alone.
+pub fn check_seed(g: &Graph, sim: Sim, seed: u64, steps: usize) -> Result<(), String> {
     let script = generate_script(g, seed, steps);
-    let concurrent = run_concurrent(g, &script);
-    let model = run_sequential_model(g, &script);
-    diff_outcomes("concurrent", seed, steps, &script, &concurrent, &model)
-}
-
-/// Like [`check_seed`], but the serving stack runs over an N-shard
-/// [`ShardedDeltaIndex`]: the model check that a sharded session is the
-/// same pure function of its input as the sequential index.
-pub fn check_seed_sharded(g: &Graph, seed: u64, steps: usize, shards: usize) -> Result<(), String> {
-    let script = generate_script(g, seed, steps);
-    let sharded = run_sharded(g, &script, shards);
-    let model = run_sequential_model(g, &script);
-    let label = format!("sharded({shards})");
-    diff_outcomes(&label, seed, steps, &script, &sharded, &model)
-}
-
-/// [`check_seed`] with the sentinel tier active on both sides: the
-/// concurrent sentinel stack (truncated growth, sentinel-aware repair
-/// and refresh) must match the sequential sentinel model bit for bit.
-pub fn check_seed_sentinel(g: &Graph, seed: u64, steps: usize) -> Result<(), String> {
-    let script = generate_script(g, seed, steps);
-    let concurrent = run_concurrent_sentinel(g, &script);
-    let model = run_sequential_model_sentinel(g, &script);
-    diff_outcomes(
-        "concurrent+sentinel",
-        seed,
-        steps,
-        &script,
-        &concurrent,
-        &model,
-    )
-}
-
-/// [`check_seed_sharded`] with the sentinel tier active on both sides.
-pub fn check_seed_sharded_sentinel(
-    g: &Graph,
-    seed: u64,
-    steps: usize,
-    shards: usize,
-) -> Result<(), String> {
-    let script = generate_script(g, seed, steps);
-    let sharded = run_sharded_sentinel(g, &script, shards);
-    let model = run_sequential_model_sentinel(g, &script);
-    let label = format!("sharded({shards})+sentinel");
-    diff_outcomes(&label, seed, steps, &script, &sharded, &model)
-}
-
-/// [`check_seed`] with the sketched validation tier active on both
-/// sides: the concurrent sketch stack (sketch-absorbing growth,
-/// chunk-wise sketch repair, error-ladder promotion) must match the
-/// sequential sketch model bit for bit.
-pub fn check_seed_sketch(g: &Graph, seed: u64, steps: usize) -> Result<(), String> {
-    let script = generate_script(g, seed, steps);
-    let concurrent = run_concurrent_sketch(g, &script);
-    let model = run_sequential_model_sketch(g, &script);
-    diff_outcomes(
-        "concurrent+sketch",
-        seed,
-        steps,
-        &script,
-        &concurrent,
-        &model,
-    )
-}
-
-/// [`check_seed_sharded`] with the sketched validation tier active on
-/// both sides.
-pub fn check_seed_sharded_sketch(
-    g: &Graph,
-    seed: u64,
-    steps: usize,
-    shards: usize,
-) -> Result<(), String> {
-    let script = generate_script(g, seed, steps);
-    let sharded = run_sharded_sketch(g, &script, shards);
-    let model = run_sequential_model_sketch(g, &script);
-    let label = format!("sharded({shards})+sketch");
-    diff_outcomes(&label, seed, steps, &script, &sharded, &model)
-}
-
-/// [`check_seed`] under Linear Threshold: the concurrent stack serving
-/// LT pools (chain-shaped RR sets, LT-aware delta repair) must match
-/// the sequential LT model bit for bit.
-pub fn check_seed_lt(g: &Graph, seed: u64, steps: usize) -> Result<(), String> {
-    let script = generate_script(g, seed, steps);
-    let concurrent = run_concurrent_lt(g, &script);
-    let model = run_sequential_model_lt(g, &script);
-    diff_outcomes("concurrent+lt", seed, steps, &script, &concurrent, &model)
-}
-
-/// [`check_seed_sharded`] under Linear Threshold.
-pub fn check_seed_sharded_lt(
-    g: &Graph,
-    seed: u64,
-    steps: usize,
-    shards: usize,
-) -> Result<(), String> {
-    let script = generate_script(g, seed, steps);
-    let sharded = run_sharded_lt(g, &script, shards);
-    let model = run_sequential_model_lt(g, &script);
-    let label = format!("sharded({shards})+lt");
-    diff_outcomes(&label, seed, steps, &script, &sharded, &model)
-}
-
-/// [`check_seed`] under Linear Threshold with the sentinel tier active
-/// on both sides: truncated LT chains through growth, repair, and
-/// refresh.
-pub fn check_seed_lt_sentinel(g: &Graph, seed: u64, steps: usize) -> Result<(), String> {
-    let script = generate_script(g, seed, steps);
-    let concurrent = run_concurrent_cfg(g, &script, sim_config_lt_sentinel(), SENTINEL_WARM_SETS);
-    let model = run_model_cfg(g, &script, sim_config_lt_sentinel(), SENTINEL_WARM_SETS);
-    diff_outcomes(
-        "concurrent+lt+sentinel",
-        seed,
-        steps,
-        &script,
-        &concurrent,
-        &model,
-    )
-}
-
-/// [`check_seed`] under Linear Threshold with the sketched validation
-/// tier active on both sides.
-pub fn check_seed_lt_sketch(g: &Graph, seed: u64, steps: usize) -> Result<(), String> {
-    let script = generate_script(g, seed, steps);
-    let concurrent = run_concurrent_cfg(g, &script, sim_config_lt_sketch(), SKETCH_WARM_SETS);
-    let model = run_model_cfg(g, &script, sim_config_lt_sketch(), SKETCH_WARM_SETS);
-    diff_outcomes(
-        "concurrent+lt+sketch",
-        seed,
-        steps,
-        &script,
-        &concurrent,
-        &model,
-    )
-}
-
-/// [`check_seed_sharded`] under Linear Threshold with the sketched
-/// validation tier active on both sides.
-pub fn check_seed_sharded_lt_sketch(
-    g: &Graph,
-    seed: u64,
-    steps: usize,
-    shards: usize,
-) -> Result<(), String> {
-    let script = generate_script(g, seed, steps);
-    let sharded = run_sharded_cfg(g, &script, shards, sim_config_lt_sketch(), SKETCH_WARM_SETS);
-    let model = run_model_cfg(g, &script, sim_config_lt_sketch(), SKETCH_WARM_SETS);
-    let label = format!("sharded({shards})+lt+sketch");
-    diff_outcomes(&label, seed, steps, &script, &sharded, &model)
+    let served = run_serving(g, &script, sim);
+    let model = run_model(g, &script, sim);
+    diff_outcomes(&sim.label(), seed, steps, &script, &served, &model)
 }
 
 /// Reports the first divergence between a serving-stack outcome and the

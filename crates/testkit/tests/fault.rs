@@ -9,17 +9,16 @@
 //!   mid-stream I/O errors into snapshot loading and the serving loop's
 //!   input.
 //! - the worker-pool chunk hooks (forwarded by `RrIndex`,
-//!   `DeltaIndex`, and `ConcurrentDeltaIndex` as `set_chunk_hook`)
+//!   `DeltaIndex`, and `ShardedDeltaIndex` as `set_chunk_hook`)
 //!   panic inside generation workers, exercising the
 //!   catch-unwind / batch-discard path under real thread pools.
 
-use subsim_delta::{
-    serve_queries, ConcurrentDeltaIndex, DeltaError, GraphDelta, NullSink, ServeEvent, ServeSink,
-};
+use subsim_delta::{serve_queries, DeltaError, GraphDelta, NullSink, ServeEvent, ServeSink};
 use subsim_diffusion::RrStrategy;
 use subsim_graph::generators::barabasi_albert;
 use subsim_graph::{Graph, WeightModel};
 use subsim_index::{read_index, write_index, IndexConfig, IndexError, RrIndex};
+use subsim_serve::ShardedDeltaIndex;
 use subsim_testkit::{panic_on_chunk, panic_on_chunk_id, Fault, FaultyReader};
 
 fn graph() -> Graph {
@@ -159,7 +158,7 @@ fn single_chunk_fault_discards_the_whole_batch() {
 #[test]
 fn worker_panic_mid_delta_apply_keeps_version_and_answers() {
     let g = graph();
-    let index = ConcurrentDeltaIndex::new(g.clone(), config()).unwrap();
+    let index = ShardedDeltaIndex::new(g.clone(), config(), 1).unwrap();
     index.warm(256).unwrap();
     let before = index.query(5, 0.2, 0.05).unwrap().seeds;
     let version_before = index.version();
@@ -188,7 +187,7 @@ fn worker_panic_mid_delta_apply_keeps_version_and_answers() {
     index.set_chunk_hook(None);
     index.apply_delta(&delta).unwrap();
     assert_eq!(index.version(), version_before + 1);
-    let twin = ConcurrentDeltaIndex::new(g, config()).unwrap();
+    let twin = ShardedDeltaIndex::new(g, config(), 1).unwrap();
     twin.warm(256).unwrap();
     twin.apply_delta(&delta).unwrap();
     assert_eq!(
@@ -210,7 +209,7 @@ impl ServeSink for Recorder {
 
 #[test]
 fn serving_survives_mid_stream_input_failure() {
-    let index = ConcurrentDeltaIndex::new(graph(), config()).unwrap();
+    let index = ShardedDeltaIndex::new(graph(), config(), 1).unwrap();
     // One good query, then the connection dies mid-line.
     let input = b"3 0.2\ndelta ~ 0 1 0.4\n3 0.2".to_vec();
     let reader = std::io::BufReader::new(FaultyReader::new(input, Fault::ErrorAt(22)));
@@ -242,7 +241,7 @@ fn fault_storm_session_keeps_serving_and_stays_consistent() {
     // stale pin interleaved with valid traffic. The session must produce
     // exactly the valid answers, every failure typed.
     let g = graph();
-    let index = ConcurrentDeltaIndex::new(g.clone(), config()).unwrap();
+    let index = ShardedDeltaIndex::new(g.clone(), config(), 1).unwrap();
     index.warm(256).unwrap();
 
     let rec = Recorder::default();
@@ -272,7 +271,7 @@ fn fault_storm_session_keeps_serving_and_stays_consistent() {
 
     // Consistency: the surviving index answers exactly like a clean twin
     // that applied the same delta with no faults around it.
-    let twin = ConcurrentDeltaIndex::new(g, config()).unwrap();
+    let twin = ShardedDeltaIndex::new(g, config(), 1).unwrap();
     twin.warm(256).unwrap();
     let mut delta = GraphDelta::new();
     delta.push(GraphDelta::parse_line("~ 0 1 0.4").unwrap().unwrap());

@@ -19,9 +19,8 @@ use subsim_graph::lt::sample_in_neighbor_linear;
 use subsim_graph::{Graph, GraphBuilder, LtIndex, WeightModel};
 use subsim_index::{IndexConfig, RrIndex};
 use subsim_testkit::{
-    check_seed_lt, check_seed_lt_sentinel, check_seed_lt_sketch, check_seed_sharded_lt,
-    check_seed_sharded_lt_sketch, chi_square_critical, chi_square_stat, hoeffding_half_width,
-    merge_small_bins, ExactLtOracle,
+    check_seed, chi_square_critical, chi_square_stat, hoeffding_half_width, merge_small_bins,
+    ExactLtOracle, Sim,
 };
 
 const SAMPLES: usize = 30_000;
@@ -317,7 +316,7 @@ fn sim_graph() -> Graph {
 fn lt_serving_matches_sequential_model_across_seeds() {
     let g = sim_graph();
     for seed in 0..6 {
-        check_seed_lt(&g, seed, 40).unwrap();
+        check_seed(&g, Sim::lt(), seed, 40).unwrap();
     }
 }
 
@@ -328,7 +327,7 @@ fn lt_sharded_serving_matches_model() {
     let g = sim_graph();
     for shards in [2usize, 3] {
         for seed in [5u64, 23] {
-            check_seed_sharded_lt(&g, seed, 40, shards).unwrap();
+            check_seed(&g, Sim::lt().shards(shards), seed, 40).unwrap();
         }
     }
 }
@@ -338,7 +337,7 @@ fn lt_sharded_serving_matches_model() {
 fn lt_sentinel_serving_matches_model() {
     let g = sim_graph();
     for seed in 0..3 {
-        check_seed_lt_sentinel(&g, seed, 30).unwrap();
+        check_seed(&g, Sim::lt().sentinel(), seed, 30).unwrap();
     }
 }
 
@@ -347,9 +346,9 @@ fn lt_sentinel_serving_matches_model() {
 fn lt_sketch_serving_matches_model() {
     let g = sim_graph();
     for seed in 0..3 {
-        check_seed_lt_sketch(&g, seed, 30).unwrap();
+        check_seed(&g, Sim::lt().sketch(), seed, 30).unwrap();
     }
-    check_seed_sharded_lt_sketch(&g, 5, 30, 3).unwrap();
+    check_seed(&g, Sim::lt().sketch().shards(3), 5, 30).unwrap();
 }
 
 /// Release-tier: wider LT seed sweep plus a uniform-weight (Wc) graph
@@ -359,16 +358,16 @@ fn lt_sketch_serving_matches_model() {
 fn heavy_lt_serving_sweep() {
     let g = sim_graph();
     for seed in 0..32 {
-        check_seed_lt(&g, seed, 60).unwrap();
+        check_seed(&g, Sim::lt(), seed, 60).unwrap();
     }
     for shards in [2usize, 3, 4] {
         for seed in 0..8 {
-            check_seed_sharded_lt(&g, seed, 50, shards).unwrap();
+            check_seed(&g, Sim::lt().shards(shards), seed, 50).unwrap();
         }
     }
     let uniform_g = barabasi_albert(48, 2, WeightModel::Wc, 19);
     for seed in 0..8 {
-        check_seed_lt(&uniform_g, seed, 50).unwrap();
-        check_seed_lt_sketch(&uniform_g, seed, 40).unwrap();
+        check_seed(&uniform_g, Sim::lt(), seed, 50).unwrap();
+        check_seed(&uniform_g, Sim::lt().sketch(), seed, 40).unwrap();
     }
 }

@@ -1,6 +1,5 @@
 //! The deterministic serving simulator: seeded schedules of interleaved
-//! queries, version pins, and graph deltas drive the real concurrent
-//! serving stack and are model-checked against the sequential
+//! queries, version pins, and graph deltas drive the real serving stack and are model-checked against the sequential
 //! [`subsim_delta::DeltaIndex`]. A failure here prints the offending
 //! `u64` seed, and `check_seed` replays it bit-identically — the
 //! FoundationDB-style loop: explore schedules randomly, reproduce
@@ -8,7 +7,7 @@
 
 use subsim_graph::generators::barabasi_albert;
 use subsim_graph::{Graph, WeightModel};
-use subsim_testkit::{check_seed, generate_script, run_concurrent, run_sequential_model};
+use subsim_testkit::{check_seed, generate_script, run_model, run_serving, Sim};
 
 fn sim_graph() -> Graph {
     barabasi_albert(48, 2, WeightModel::Wc, 17)
@@ -18,8 +17,8 @@ fn sim_graph() -> Graph {
 fn same_seed_replays_bit_identically() {
     let g = sim_graph();
     let script = generate_script(&g, 11, 40);
-    let a = run_concurrent(&g, &script);
-    let b = run_concurrent(&g, &script);
+    let a = run_serving(&g, &script, Sim::ic());
+    let b = run_serving(&g, &script, Sim::ic());
     assert_eq!(a, b, "two runs of one script must match exactly");
 }
 
@@ -30,7 +29,7 @@ fn concurrent_stack_matches_sequential_model_across_seeds() {
     // every record (answers, repair acks, stale pins, malformed lines).
     let g = sim_graph();
     for seed in 0..8 {
-        check_seed(&g, seed, 40).unwrap();
+        check_seed(&g, Sim::ic(), seed, 40).unwrap();
     }
 }
 
@@ -46,7 +45,7 @@ fn schedules_exercise_stale_pins_and_repairs() {
     let mut saw_malformed = false;
     for seed in 0..8 {
         let script = generate_script(&g, seed, 40);
-        let outcome = run_concurrent(&g, &script);
+        let outcome = run_serving(&g, &script, Sim::ic());
         for r in &outcome.records {
             saw_ok |= r.starts_with("ok ");
             saw_applied |= r.starts_with("applied v");
@@ -64,7 +63,7 @@ fn schedules_exercise_stale_pins_and_repairs() {
 fn version_advances_exactly_with_applied_deltas() {
     let g = sim_graph();
     let script = generate_script(&g, 5, 60);
-    let outcome = run_concurrent(&g, &script);
+    let outcome = run_serving(&g, &script, Sim::ic());
     let applied = outcome
         .records
         .iter()
@@ -76,7 +75,7 @@ fn version_advances_exactly_with_applied_deltas() {
     );
     // And the model agrees on the final version too.
     assert_eq!(
-        run_sequential_model(&g, &script).final_version,
+        run_model(&g, &script, Sim::ic()).final_version,
         outcome.final_version
     );
 }
@@ -89,7 +88,7 @@ fn version_advances_exactly_with_applied_deltas() {
 fn heavy_seed_sweep() {
     let g = sim_graph();
     for seed in 0..64 {
-        check_seed(&g, seed, 120).unwrap();
+        check_seed(&g, Sim::ic(), seed, 120).unwrap();
     }
 }
 
@@ -101,7 +100,7 @@ fn sharded_serving_matches_sequential_model() {
     let g = sim_graph();
     for shards in [2usize, 3, 4] {
         for seed in [5u64, 23] {
-            subsim_testkit::check_seed_sharded(&g, seed, 40, shards)
+            check_seed(&g, Sim::ic().shards(shards), seed, 40)
                 .unwrap_or_else(|e| panic!("shards={shards}: {e}"));
         }
     }
@@ -115,7 +114,7 @@ fn sentinel_serving_matches_sequential_model() {
     // sentinel model byte for byte.
     let g = sim_graph();
     for seed in 0..4 {
-        subsim_testkit::check_seed_sentinel(&g, seed, 40).unwrap();
+        check_seed(&g, Sim::ic().sentinel(), seed, 40).unwrap();
     }
 }
 
@@ -124,7 +123,7 @@ fn sentinel_sharded_serving_matches_sequential_model() {
     let g = sim_graph();
     for shards in [2usize, 3] {
         for seed in [5u64, 23] {
-            subsim_testkit::check_seed_sharded_sentinel(&g, seed, 40, shards)
+            check_seed(&g, Sim::ic().sentinel().shards(shards), seed, 40)
                 .unwrap_or_else(|e| panic!("shards={shards}: {e}"));
         }
     }
@@ -139,8 +138,8 @@ fn sentinel_schedules_exercise_refreshes() {
     let g = sim_graph();
     let mut saw_applied = false;
     for seed in 0..4 {
-        let script = subsim_testkit::generate_script(&g, seed, 40);
-        let outcome = subsim_testkit::run_concurrent_sentinel(&g, &script);
+        let script = generate_script(&g, seed, 40);
+        let outcome = run_serving(&g, &script, Sim::ic().sentinel());
         saw_applied |= outcome.records.iter().any(|r| r.starts_with("applied v"));
     }
     assert!(saw_applied, "no delta applied across the sentinel sweep");
@@ -152,11 +151,11 @@ fn sentinel_schedules_exercise_refreshes() {
 fn heavy_sentinel_seed_sweep() {
     let g = sim_graph();
     for seed in 0..24 {
-        subsim_testkit::check_seed_sentinel(&g, seed, 80).unwrap();
+        check_seed(&g, Sim::ic().sentinel(), seed, 80).unwrap();
     }
     for shards in [2usize, 3, 4] {
         for seed in 0..8 {
-            subsim_testkit::check_seed_sharded_sentinel(&g, seed, 80, shards)
+            check_seed(&g, Sim::ic().sentinel().shards(shards), seed, 80)
                 .unwrap_or_else(|e| panic!("shards={shards}: {e}"));
         }
     }

@@ -29,9 +29,7 @@ use subsim_diffusion::RrStrategy;
 use subsim_graph::generators::{barabasi_albert, complete_graph};
 use subsim_graph::{Graph, GraphBuilder, NodeId, WeightModel};
 use subsim_index::{read_index, write_index, IndexConfig, IndexError, RrIndex};
-use subsim_testkit::{
-    check_seed_sharded_sketch, check_seed_sketch, ExactOracle, Fault, FaultyReader,
-};
+use subsim_testkit::{check_seed, ExactOracle, Fault, FaultyReader, Sim};
 
 fn uniform(p: f64) -> WeightModel {
     WeightModel::UniformIc { p }
@@ -189,7 +187,7 @@ fn sketch_union_estimates_track_exact_coverage() {
 fn sketched_sim_concurrent_matches_sequential_model() {
     let g = barabasi_albert(60, 3, WeightModel::Wc, 91);
     for seed in [1u64, 2] {
-        check_seed_sketch(&g, seed, 18).unwrap();
+        check_seed(&g, Sim::ic().sketch(), seed, 18).unwrap();
     }
 }
 
@@ -199,7 +197,7 @@ fn sketched_sim_concurrent_matches_sequential_model() {
 fn sketched_sim_sharded_matches_sequential_model() {
     let g = barabasi_albert(60, 3, WeightModel::Wc, 93);
     for shards in [1usize, 2, 3, 5] {
-        check_seed_sharded_sketch(&g, 5, 18, shards).unwrap();
+        check_seed(&g, Sim::ic().sketch().shards(shards), 5, 18).unwrap();
     }
 }
 

@@ -25,8 +25,9 @@
 //! survives restarts; `--stats-out` dumps serving metrics (per-query
 //! latency histogram + quantiles, cache hits, snapshot publishes) as JSON.
 //!
-//! With `--delta-stream` the server runs a [`ConcurrentDeltaIndex`]
-//! instead and additionally accepts `delta + u v p` / `delta - u v` /
+//! With `--delta-stream` (or `--shards`) the server runs a
+//! [`ShardedDeltaIndex`] instead — one shard unless `--shards` says
+//! otherwise. With `--delta-stream` it additionally accepts `delta + u v p` / `delta - u v` /
 //! `delta ~ u v p` lines interleaved with queries: each mutation applies
 //! atomically, the RR pool is repaired incrementally (only chunks holding
 //! a set that contains a mutated edge target regenerate), and an ack with
@@ -619,20 +620,20 @@ fn run_server(args: ServerArgs) -> Result<(), String> {
     if let Some(cap) = args.max_nodes {
         config = config.max_nodes(cap);
     }
-    if args.shards > 1 {
+    if args.shards > 1 || args.delta_stream {
         run_sharded_server(args, g, config)
-    } else if args.delta_stream {
-        run_delta_server(args, g, config)
     } else {
         run_static_server(args, g, config)
     }
 }
 
-/// `--shards N` serving: a [`ShardedDeltaIndex`] partitions chunk
-/// generation and coverage counting across N shards; selection merges
-/// the per-shard counts, so answers stay bit-identical to `--shards 1`.
-/// Without `--delta-stream` the index serves frozen: `delta` lines are
-/// rejected exactly like the static server.
+/// `--shards N` and `--delta-stream` serving: a [`ShardedDeltaIndex`]
+/// owns a versioned graph and partitions chunk generation and coverage
+/// counting across N shards (one by default); selection merges the
+/// per-shard counts, so answers stay bit-identical to `--shards 1`. With
+/// `--delta-stream`, `delta` op lines apply atomically between queries
+/// and the pool is repaired incrementally; without it the index serves
+/// frozen: `delta` lines are rejected exactly like the static server.
 fn run_sharded_server(args: ServerArgs, g: Graph, config: IndexConfig) -> Result<(), String> {
     let index = match &args.index_file {
         Some(path) if std::path::Path::new(path).exists() => {
@@ -673,9 +674,11 @@ fn run_sharded_server(args: ServerArgs, g: Graph, config: IndexConfig) -> Result
         index
             .save_snapshot(path)
             .map_err(|e| format!("saving {path}: {e}"))?;
+        let snap = index.load();
         eprintln!(
-            "index: saved {} sets/half to {path}",
-            index.load().pool_len()
+            "index: saved {} sets/half to {path} (graph version {})",
+            snap.pool_len(),
+            snap.version()
         );
     }
     Ok(())
@@ -744,55 +747,6 @@ fn run_static_server(args: ServerArgs, g: Graph, config: IndexConfig) -> Result<
             .save_to_path(path)
             .map_err(|e| format!("saving {path}: {e}"))?;
         eprintln!("index: saved {} sets/half to {path}", index.pool_len());
-    }
-    Ok(())
-}
-
-/// `--delta-stream` serving: a [`ConcurrentDeltaIndex`] owning a
-/// versioned graph, with `delta` op lines applied atomically between
-/// queries and the pool repaired incrementally.
-fn run_delta_server(args: ServerArgs, g: Graph, config: IndexConfig) -> Result<(), String> {
-    let mut index = match &args.index_file {
-        Some(path) if std::path::Path::new(path).exists() => {
-            let loaded = DeltaIndex::load_snapshot(g, config, path)
-                .map_err(|e| format!("loading {path}: {e}"))?;
-            eprintln!(
-                "index: loaded {} sets/half from {path} (cursor {})",
-                loaded.pool_len(),
-                loaded.chunk_cursor()
-            );
-            loaded
-        }
-        _ => DeltaIndex::new(g, config).map_err(|e| e.to_string())?,
-    };
-    if args.warm > 0 {
-        index.warm(args.warm).map_err(|e| e.to_string())?;
-        eprintln!("index: warmed to {} sets/half", index.pool_len());
-    }
-
-    let index = ConcurrentDeltaIndex::from_index(index);
-    serve_transport(&index, &args)?;
-    let m = index.metrics();
-    report_metrics(&m, &args)?;
-    if m.deltas_applied > 0 {
-        eprintln!(
-            "applied {} deltas: {} sets / {} chunks regenerated, total repair time {:?}",
-            m.deltas_applied,
-            m.sets_repaired,
-            m.chunks_repaired,
-            std::time::Duration::from_nanos(m.repair_time_ns),
-        );
-    }
-    if let Some(path) = &args.index_file {
-        let version = index.version();
-        let index = index.into_index();
-        index
-            .save_snapshot(path)
-            .map_err(|e| format!("saving {path}: {e}"))?;
-        eprintln!(
-            "index: saved {} sets/half to {path} (graph version {version})",
-            index.pool_len()
-        );
     }
     Ok(())
 }

@@ -16,12 +16,13 @@
 //! - [`delta`] — versioned graph updates with incremental RR-sketch
 //!   repair: batched edge mutations apply into epoch-stamped graph
 //!   versions, and only the RR sets touching mutated edges regenerate
-//!   ([`delta::DeltaIndex`], [`delta::ConcurrentDeltaIndex`]).
+//!   ([`delta::DeltaIndex`]).
 //! - [`serve`] — the sharded serving layer: RR pools partitioned by
 //!   chunk ownership across shards with merged greedy selection
 //!   ([`serve::ShardedDeltaIndex`]) behind a framed multi-connection
 //!   server ([`serve::serve_framed`]); output is bit-identical to the
-//!   sequential index for any shard count.
+//!   sequential index for any shard count, and one shard is the
+//!   concurrent delta-stream index.
 //!
 //! See `examples/quickstart.rs` for an end-to-end tour.
 
@@ -38,8 +39,9 @@ pub use subsim_serve as serve;
 /// Commonly used items, collected for `use subsim::prelude::*;`.
 pub mod prelude {
     pub use subsim_core::prelude::*;
-    pub use subsim_delta::{ConcurrentDeltaIndex, DeltaIndex, GraphDelta, VersionedGraph};
+    pub use subsim_delta::{DeltaIndex, GraphDelta, VersionedGraph};
     pub use subsim_diffusion::prelude::*;
     pub use subsim_graph::prelude::*;
     pub use subsim_index::{ConcurrentRrIndex, IndexConfig, MetricsSnapshot, QueryAnswer, RrIndex};
+    pub use subsim_serve::ShardedDeltaIndex;
 }
