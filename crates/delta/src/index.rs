@@ -60,7 +60,7 @@ impl std::fmt::Debug for DeltaIndex {
             .field("version", &self.vg.version())
             .field("config", &self.config)
             .field("chunks", &self.pool.chunks)
-            .field("pool_len", &self.pool.r1.len())
+            .field("pool_len", &self.pool.pool_len())
             .finish_non_exhaustive()
     }
 }
@@ -76,14 +76,7 @@ impl DeltaIndex {
 
     /// Wraps an existing [`VersionedGraph`] with an empty pool.
     pub fn from_versioned(vg: VersionedGraph, config: IndexConfig) -> Self {
-        assert!(config.threads > 0, "need at least one worker");
-        assert!(config.chunk_size > 0, "chunks must hold at least one set");
-        assert!(
-            config.sketch == 0 || config.sentinels == 0,
-            "sketch and sentinel tiers are mutually exclusive: truncated \
-             sets would poison the count-distinct estimates"
-        );
-        let pool = PoolState::empty(vg.graph().n(), &config);
+        let pool = PoolState::empty(vg.graph().n(), &config, 1);
         Self::with_pool(vg, config, pool)
     }
 
@@ -124,7 +117,7 @@ impl DeltaIndex {
 
     /// Sets per pool half.
     pub fn pool_len(&self) -> usize {
-        self.pool.r1.len()
+        self.pool.pool_len()
     }
 
     /// The RNG cursor: complete chunks generated per half.
@@ -141,12 +134,12 @@ impl DeltaIndex {
 
     /// The selection half `R₁` (read-only).
     pub fn selection_pool(&self) -> &RrCollection {
-        &self.pool.r1
+        self.pool.selection_pool()
     }
 
     /// The validation half `R₂` (read-only).
     pub fn validation_pool(&self) -> &RrCollection {
-        &self.pool.r2
+        self.pool.validation_pool()
     }
 
     /// The sentinel tier state, if active.
@@ -156,7 +149,7 @@ impl DeltaIndex {
 
     /// The sketched validation pool, if the sketch tier is active.
     pub fn sketch_state(&self) -> Option<&SketchedPool> {
-        self.pool.sketch.as_ref()
+        self.pool.sketch_state()
     }
 
     /// Serving metrics (queries, generation, repairs).
@@ -205,7 +198,13 @@ impl DeltaIndex {
         let mut staged = self.vg.clone();
         staged.apply(delta)?;
         let sampler = RrSampler::new(staged.graph(), self.config.strategy);
-        let out = repair_pool(&self.pool, delta, &sampler, &self.workers, &self.config)?;
+        let out = repair_pool(
+            &self.pool,
+            delta,
+            &sampler,
+            std::slice::from_ref(&self.workers),
+            &self.config,
+        )?;
         drop(sampler);
         self.vg = staged;
         self.pool = out.pool;
@@ -266,7 +265,7 @@ impl CertifiedPool for DeltaIndex {
         let metrics = &self.metrics;
         Ok(self.pool.grow_to(
             &sampler,
-            &self.workers,
+            std::slice::from_ref(&self.workers),
             &self.config,
             target_sets,
             &mut |b| metrics.record_generated(b),
@@ -276,12 +275,13 @@ impl CertifiedPool for DeltaIndex {
     fn promote_sketch(&mut self, _observed: u8) -> Result<usize, DeltaError> {
         let sampler = RrSampler::new(self.vg.graph(), self.config.strategy);
         let metrics = &self.metrics;
-        let regenerated =
-            self.pool
-                .promote_sketch(&sampler, &self.workers, &self.config, &mut |b| {
-                    metrics.record_generated(b)
-                })?;
-        self.config.sketch = self.pool.sketch.as_ref().map_or(0, |sk| sk.precision()) as usize;
+        let regenerated = self.pool.promote_sketch(
+            &sampler,
+            std::slice::from_ref(&self.workers),
+            &self.config,
+            &mut |b| metrics.record_generated(b),
+        )?;
+        self.config.sketch = self.pool.sketch_precision().map_or(0, usize::from);
         Ok(regenerated)
     }
 

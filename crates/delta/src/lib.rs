@@ -16,7 +16,7 @@
 //!   atomically into an epoch-stamped current version (rebuilt CSR +
 //!   fresh [`subsim_index::graph_fingerprint`]), with the overlay
 //!   periodically compacted into a new base.
-//! - [`repair_half`] / [`RepairReport`] — the repair engine: the inverted
+//! - [`repair_pool`] / [`RepairReport`] — the repair engine: the inverted
 //!   coverage index finds exactly the RR sets containing a mutated edge
 //!   target, their chunks regenerate from their **original** chunk seeds
 //!   on the new graph over the persistent worker pool, and clean chunks
@@ -48,8 +48,8 @@ pub use delta::{DeltaOp, GraphDelta};
 pub use error::DeltaError;
 pub use index::DeltaIndex;
 pub use repair::{
-    repair_half, repair_half_indexed, repair_half_mapped, repair_half_sentinel, repair_sketch,
-    RepairReport, RepairedHalf, RepairedSentinelHalf, RepairedSketch,
+    repair_half, repair_pool, repair_sketch, RepairReport, RepairedHalf, RepairedPool,
+    RepairedSketch,
 };
 pub use serve::{
     parse_query, serve_queries, FrameViolation, LineError, NullSink, ServeError, ServeEvent,

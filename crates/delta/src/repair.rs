@@ -31,16 +31,19 @@
 //! for a set that didn't contain it.
 
 use crate::delta::GraphDelta;
+use std::sync::Arc;
 use std::time::Duration;
 use subsim_core::SentinelSet;
 use subsim_diffusion::pool::{PoolError, WorkerPool};
-use subsim_diffusion::{InvertedIndex, RrCollection, RrSampler};
+use subsim_diffusion::{InvertedIndex, ParBatch, RrCollection, RrSampler};
 use subsim_graph::NodeId;
-use subsim_index::{IndexConfig, PoolState, SentinelState, R2_STREAM};
+use subsim_index::{
+    for_each_arena, Arena, ChunkMap, IndexConfig, PoolState, SentinelState, R2_STREAM,
+};
 use subsim_sketch::SketchedPool;
 
-/// What one repair (via [`repair_half`] on both halves, as
-/// [`crate::DeltaIndex::apply_delta`] does) did.
+/// What one repair (via [`repair_pool`], as
+/// [`crate::DeltaIndex::apply_delta`] runs it) did.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RepairReport {
     /// Graph version the repair brought the pool to.
@@ -87,95 +90,45 @@ pub struct RepairedHalf {
     pub dirty_sets: usize,
     /// Chunks regenerated.
     pub dirty_chunks: usize,
+    /// `(global chunk, sentinel hits)` of every regenerated truncated
+    /// chunk; empty without a sentinel.
+    pub hits: Vec<(u64, u64)>,
 }
 
 /// Repairs one pool half against the new graph bound in `sampler`.
 ///
 /// `pool` is the half as generated on the *previous* version with chunk
-/// stream `seed` (every `chunk_size` consecutive sets form one chunk;
-/// the half must be whole chunks). `targets` are the delta's mutated
-/// in-list endpoints. The result is bit-identical to regenerating the
-/// whole half on the new graph.
+/// stream `seed`: every `chunk_size` consecutive sets form one chunk, and
+/// local chunk `j` is global chunk `map.global(j)` (the identity for a
+/// one-arena pool, `s + j·N` for arena `s` of `N`). `index` is the
+/// inverted index over `pool`, and `targets` are the delta's mutated
+/// in-list endpoints.
 ///
-/// A worker panic during regeneration surfaces as
+/// With `sentinel = Some((z, from_chunk))`, global chunks at or above
+/// `from_chunk` were generated through the Alg 5 stopping wrapper with
+/// sentinel set `z`. Dirtiness detection is unchanged: a truncated
+/// traversal also consumes randomness strictly per *visited* node and
+/// stops at the sentinel without ever reading the sentinel's in-list, so
+/// a truncated set not containing a mutated target replays
+/// bit-identically on the new graph as long as `z` itself is unchanged.
+/// Dirty chunks below `from_chunk` regenerate plain, the rest under `z`,
+/// and their fresh hit counts come back in [`RepairedHalf::hits`].
+///
+/// The result is bit-identical to regenerating the whole half on the new
+/// graph. A worker panic during regeneration surfaces as
 /// [`PoolError::WorkerPanicked`]; `pool` is untouched (the caller keeps
 /// serving its pre-repair content) and `workers` stays usable.
+#[allow(clippy::too_many_arguments)]
 pub fn repair_half(
     pool: &RrCollection,
+    index: &InvertedIndex,
+    map: ChunkMap,
+    sentinel: Option<(&[NodeId], u64)>,
     targets: &[NodeId],
     sampler: &RrSampler<'_>,
     workers: &WorkerPool,
     chunk_size: usize,
     seed: u64,
-    threads: usize,
-) -> Result<RepairedHalf, PoolError> {
-    repair_half_mapped(
-        pool,
-        targets,
-        sampler,
-        workers,
-        chunk_size,
-        seed,
-        threads,
-        |c| c,
-    )
-}
-
-/// [`repair_half`] for a pool half whose stored chunks are not the
-/// contiguous prefix `0..len/chunk_size` of the chunk stream.
-///
-/// `chunk_id_of` maps the half's *local* chunk position (`0` = the first
-/// `chunk_size` sets stored) to the global chunk id whose seed
-/// `chunk_seed(seed, id)` generated it. A sharded pool stores shard `s`'s
-/// owned chunks `s, s + N, s + 2N, …` in ascending order, so its map is
-/// `|j| s + j * N`; the plain half is the identity. The map must be
-/// strictly increasing over local positions (owned chunk ids stored in
-/// stream order), which keeps regenerated chunks aligned with their
-/// splice points.
-#[allow(clippy::too_many_arguments)]
-pub fn repair_half_mapped(
-    pool: &RrCollection,
-    targets: &[NodeId],
-    sampler: &RrSampler<'_>,
-    workers: &WorkerPool,
-    chunk_size: usize,
-    seed: u64,
-    threads: usize,
-    chunk_id_of: impl Fn(u64) -> u64,
-) -> Result<RepairedHalf, PoolError> {
-    assert!(chunk_size > 0, "chunks must hold at least one set");
-    assert_eq!(
-        pool.len() % chunk_size,
-        0,
-        "pool half must be a whole number of chunks"
-    );
-    let inv = InvertedIndex::build_parallel(pool, threads);
-    repair_half_indexed(
-        pool,
-        &inv,
-        targets,
-        sampler,
-        workers,
-        chunk_size,
-        seed,
-        chunk_id_of,
-    )
-}
-
-/// [`repair_half_mapped`] with a caller-owned inverted index over `pool`
-/// — the sharded serving path keeps one index per published shard
-/// snapshot and reuses it for dirtiness detection instead of rebuilding
-/// it per delta.
-#[allow(clippy::too_many_arguments)]
-pub fn repair_half_indexed(
-    pool: &RrCollection,
-    inv: &InvertedIndex,
-    targets: &[NodeId],
-    sampler: &RrSampler<'_>,
-    workers: &WorkerPool,
-    chunk_size: usize,
-    seed: u64,
-    chunk_id_of: impl Fn(u64) -> u64,
 ) -> Result<RepairedHalf, PoolError> {
     assert!(chunk_size > 0, "chunks must hold at least one set");
     assert_eq!(
@@ -185,7 +138,7 @@ pub fn repair_half_indexed(
     );
     let mut dirty_sets: Vec<u32> = targets
         .iter()
-        .flat_map(|&t| inv.sets_containing(t))
+        .flat_map(|&t| index.sets_containing(t))
         .copied()
         .collect();
     dirty_sets.sort_unstable();
@@ -196,21 +149,45 @@ pub fn repair_half_indexed(
         .collect();
     dirty_local.dedup(); // dirty_sets sorted => chunk positions sorted
 
-    if dirty_local.is_empty() {
-        return Ok(RepairedHalf {
-            rr: pool.clone(),
-            dirty_sets: dirty_sets.len(),
-            dirty_chunks: 0,
-        });
-    }
+    let (z, from_chunk) = sentinel.map_or((None, u64::MAX), |(z, from)| (Some(z), from));
+    let (trunc_ids, plain_ids): (Vec<u64>, Vec<u64>) = dirty_local
+        .iter()
+        .map(|&j| map.global(j))
+        .partition(|&c| c >= from_chunk);
+    let generate = |ids: &[u64], z| -> Result<Option<ParBatch>, PoolError> {
+        if ids.is_empty() {
+            return Ok(None);
+        }
+        workers
+            .try_generate_chunk_ids(sampler, z, ids, chunk_size, seed)
+            .map(Some)
+    };
+    let plain = generate(&plain_ids, None)?;
+    let trunc = generate(&trunc_ids, z)?;
+    let hits = trunc.as_ref().map_or_else(Vec::new, |b| {
+        trunc_ids
+            .iter()
+            .copied()
+            .zip(b.chunk_hits.iter().copied())
+            .collect()
+    });
 
-    let dirty_ids: Vec<u64> = dirty_local.iter().map(|&c| chunk_id_of(c)).collect();
-    let batch = workers.try_generate_chunk_ids(sampler, None, &dirty_ids, chunk_size, seed)?;
     let mut rr = RrCollection::new(pool.graph_n());
     let mut cursor = 0usize;
-    for (k, &c) in dirty_local.iter().enumerate() {
-        let lo = c as usize * chunk_size;
+    let (mut pi, mut ti) = (0usize, 0usize);
+    for &j in &dirty_local {
+        let lo = j as usize * chunk_size;
         rr.extend_from_range(pool, cursor..lo);
+        let (batch, k) = if map.global(j) < from_chunk {
+            pi += 1;
+            (&plain, pi - 1)
+        } else {
+            ti += 1;
+            (&trunc, ti - 1)
+        };
+        let batch = batch
+            .as_ref()
+            .expect("a batch exists for every dirty chunk");
         rr.extend_from_range(&batch.rr, k * chunk_size..(k + 1) * chunk_size);
         cursor = lo + chunk_size;
     }
@@ -220,134 +197,7 @@ pub fn repair_half_indexed(
         rr,
         dirty_sets: dirty_sets.len(),
         dirty_chunks: dirty_local.len(),
-    })
-}
-
-/// Outcome of repairing one sentinel-tier pool half.
-#[derive(Debug)]
-pub struct RepairedSentinelHalf {
-    /// The repaired collection (same length as the input).
-    pub rr: RrCollection,
-    /// Dirty sets detected.
-    pub dirty_sets: usize,
-    /// Chunks regenerated.
-    pub dirty_chunks: usize,
-    /// Per-chunk sentinel-hit counters after repair (same length as the
-    /// input; only regenerated truncated chunks change).
-    pub chunk_hits: Vec<u64>,
-}
-
-/// [`repair_half`] for a half whose chunks at positions `>= from_chunk`
-/// were generated through the Alg 5 stopping wrapper with sentinel set
-/// `z` (see [`subsim_index::SentinelState`]).
-///
-/// Dirtiness detection is unchanged: a truncated traversal also consumes
-/// randomness strictly per *visited* node and stops at the sentinel
-/// without ever reading the sentinel's in-list, so a truncated set not
-/// containing a mutated target replays bit-identically on the new graph
-/// as long as `z` itself is unchanged. Dirty chunks below `from_chunk`
-/// regenerate plain; dirty chunks at or above regenerate under `z`, and
-/// their recorded hit counters are replaced by the fresh counts.
-#[allow(clippy::too_many_arguments)]
-pub fn repair_half_sentinel(
-    pool: &RrCollection,
-    targets: &[NodeId],
-    z: &[NodeId],
-    from_chunk: u64,
-    old_hits: &[u64],
-    sampler: &RrSampler<'_>,
-    workers: &WorkerPool,
-    chunk_size: usize,
-    seed: u64,
-    threads: usize,
-) -> Result<RepairedSentinelHalf, PoolError> {
-    assert!(chunk_size > 0, "chunks must hold at least one set");
-    assert_eq!(
-        pool.len() % chunk_size,
-        0,
-        "pool half must be a whole number of chunks"
-    );
-    assert_eq!(
-        old_hits.len(),
-        pool.len() / chunk_size,
-        "one hit counter per stored chunk"
-    );
-    let inv = InvertedIndex::build_parallel(pool, threads);
-    let mut dirty_sets: Vec<u32> = targets
-        .iter()
-        .flat_map(|&t| inv.sets_containing(t))
-        .copied()
-        .collect();
-    dirty_sets.sort_unstable();
-    dirty_sets.dedup();
-    let mut dirty_local: Vec<u64> = dirty_sets
-        .iter()
-        .map(|&s| s as u64 / chunk_size as u64)
-        .collect();
-    dirty_local.dedup(); // dirty_sets sorted => chunk positions sorted
-
-    let mut chunk_hits = old_hits.to_vec();
-    if dirty_local.is_empty() {
-        return Ok(RepairedSentinelHalf {
-            rr: pool.clone(),
-            dirty_sets: dirty_sets.len(),
-            dirty_chunks: 0,
-            chunk_hits,
-        });
-    }
-
-    let plain_ids: Vec<u64> = dirty_local
-        .iter()
-        .copied()
-        .filter(|&c| c < from_chunk)
-        .collect();
-    let trunc_ids: Vec<u64> = dirty_local
-        .iter()
-        .copied()
-        .filter(|&c| c >= from_chunk)
-        .collect();
-    let plain = if plain_ids.is_empty() {
-        None
-    } else {
-        Some(workers.try_generate_chunk_ids(sampler, None, &plain_ids, chunk_size, seed)?)
-    };
-    let trunc = if trunc_ids.is_empty() {
-        None
-    } else {
-        Some(workers.try_generate_chunk_ids(sampler, Some(z), &trunc_ids, chunk_size, seed)?)
-    };
-    if let Some(batch) = &trunc {
-        for (j, &c) in trunc_ids.iter().enumerate() {
-            chunk_hits[c as usize] = batch.chunk_hits[j];
-        }
-    }
-
-    let mut rr = RrCollection::new(pool.graph_n());
-    let mut cursor = 0usize;
-    let (mut pi, mut ti) = (0usize, 0usize);
-    for &c in &dirty_local {
-        let lo = c as usize * chunk_size;
-        rr.extend_from_range(pool, cursor..lo);
-        if c < from_chunk {
-            let b = plain.as_ref().expect("plain batch exists for plain chunk");
-            rr.extend_from_range(&b.rr, pi * chunk_size..(pi + 1) * chunk_size);
-            pi += 1;
-        } else {
-            let b = trunc
-                .as_ref()
-                .expect("truncated batch exists for truncated chunk");
-            rr.extend_from_range(&b.rr, ti * chunk_size..(ti + 1) * chunk_size);
-            ti += 1;
-        }
-        cursor = lo + chunk_size;
-    }
-    rr.extend_from_range(pool, cursor..pool.len());
-    debug_assert_eq!(rr.len(), pool.len());
-    Ok(RepairedSentinelHalf {
-        rr,
-        dirty_sets: dirty_sets.len(),
-        dirty_chunks: dirty_local.len(),
-        chunk_hits,
+        hits,
     })
 }
 
@@ -370,7 +220,8 @@ pub struct RepairedSketch {
 /// on the new graph and its sub-sketch is rebuilt from the fresh
 /// content, so the repaired sketch equals a fresh sketch over a fully
 /// rebuilt half (clean chunks would regenerate bit-identical, hence
-/// sketch identical).
+/// sketch identical). Chunks are keyed by global id, so an arena's
+/// sketch repairs without a chunk map.
 pub fn repair_sketch(
     sketch: &SketchedPool,
     targets: &[NodeId],
@@ -399,213 +250,204 @@ pub fn repair_sketch(
 
 /// The repaired pool plus the report's repair counts (the caller stamps
 /// `version` and `elapsed`).
-pub(crate) struct RepairedPool {
+#[derive(Debug)]
+pub struct RepairedPool {
+    /// The pool, repaired against the new graph.
     pub pool: PoolState,
+    /// What the repair did.
     pub report: RepairReport,
 }
 
-impl RepairedPool {
-    fn new(
-        pool: PoolState,
-        targets: usize,
-        dirty_sets: [usize; 2],
-        dirty_chunks: [usize; 2],
-        sentinel_refreshed: bool,
-        chunk_size: usize,
-    ) -> Self {
-        let pool_sets = pool.r1.len()
-            + pool
-                .sketch
-                .as_ref()
-                .map_or(pool.r2.len(), |sk| sk.len_sets());
-        let report = RepairReport {
-            targets,
-            dirty_sets_r1: dirty_sets[0],
-            dirty_sets_r2: dirty_sets[1],
-            dirty_chunks_r1: dirty_chunks[0],
-            dirty_chunks_r2: dirty_chunks[1],
-            regenerated_sets: (dirty_chunks[0] + dirty_chunks[1]) * chunk_size,
-            pool_sets,
-            sentinel_refreshed,
-            ..RepairReport::default()
-        };
-        RepairedPool { pool, report }
-    }
+/// One arena's repair: the new arena plus its share of the report.
+struct ArenaRepair {
+    arena: Arc<Arena>,
+    dirty_sets: [usize; 2],
+    dirty_chunks: [usize; 2],
+    hits: [Vec<(u64, u64)>; 2],
 }
 
-/// Repairs both pool halves — and the sentinel tier, if present —
-/// against the new graph bound in `sampler`: the engine behind
-/// [`crate::DeltaIndex::apply_delta`].
+/// Repairs every arena of `pool` — and the sentinel tier, if present —
+/// against the new graph bound in `sampler`, with `workers[s]` repairing
+/// arena `s`: the engine behind every index's `apply_delta`.
 ///
-/// Without a sentinel this is two [`repair_half`] calls (bit-exact
-/// rebuild equivalence). With a sentinel whose set `Z` is untouched by
-/// the delta (no op endpoint in `Z`), both halves repair through
-/// [`repair_half_sentinel`]: the truncation boundary is preserved and
-/// per-chunk hit counters refresh for regenerated truncated chunks.
-/// When the delta rewires a sentinel's own edges, `Z`'s selection basis
-/// is gone: the plain warmup prefix is repaired exactly, a new `Z'` is
-/// re-selected over the repaired `R₁` prefix, and the whole truncated
-/// suffix regenerates under `Z'`. The statistical certification
-/// contract holds throughout — every stored set remains a valid sample
-/// of the new graph and bounds re-derive per query — but bit-equivalence
-/// to a fresh rebuild is not promised for a refreshed suffix.
-pub(crate) fn repair_pool(
+/// Each exact half repairs through [`repair_half`] under its arena's
+/// chunk map (bit-exact rebuild equivalence); `R₁` reuses the arena's
+/// resident index. A sketched `R₂` repairs through [`repair_sketch`].
+/// With a sentinel whose set `Z` is untouched by the delta (no op
+/// endpoint in `Z`), the halves repair with `(Z, from_chunk)`: the
+/// truncation boundary is preserved and hit counters refresh for
+/// regenerated truncated chunks. When the delta rewires a sentinel's own
+/// edges, `Z`'s selection basis is gone: the plain warmup prefix is
+/// repaired exactly, a new `Z'` is re-selected over the repaired `R₁`
+/// prefix, and the whole truncated suffix regenerates under `Z'`. The
+/// statistical certification contract holds throughout — every stored
+/// set remains a valid sample of the new graph and bounds re-derive per
+/// query — but bit-equivalence to a fresh rebuild is not promised for a
+/// refreshed suffix. On error nothing changes.
+pub fn repair_pool(
     pool: &PoolState,
     delta: &GraphDelta,
     sampler: &RrSampler<'_>,
-    workers: &WorkerPool,
+    workers: &[WorkerPool],
     config: &IndexConfig,
 ) -> Result<RepairedPool, PoolError> {
+    assert_eq!(
+        workers.len(),
+        pool.arena_count(),
+        "one worker pool per arena"
+    );
     let targets = delta.targets();
-    let (chunk_size, seed, threads) = (config.chunk_size, config.seed, config.threads);
-    let repaired = |r1, r2, sentinel, sketch, dirty_sets, dirty_chunks, refreshed| {
-        RepairedPool::new(
-            PoolState {
-                r1,
-                r2,
-                chunks: pool.chunks,
-                sentinel,
-                sketch,
-            },
-            targets.len(),
-            dirty_sets,
-            dirty_chunks,
-            refreshed,
-            chunk_size,
-        )
-    };
-    let half = |rr: &RrCollection, seed| {
-        repair_half(rr, &targets, sampler, workers, chunk_size, seed, threads)
-    };
-    // Sketched validation tier (mutually exclusive with sentinels): R₁
-    // repairs exactly, the sketch repairs chunk-wise on the same
-    // membership predicate. The sketch cannot count individual dirty
-    // sets, so `dirty_sets_r2` reports the regenerated whole chunks'
-    // set count (what was actually redrawn).
-    if let Some(sk) = &pool.sketch {
-        let h1 = half(&pool.r1, seed)?;
-        let rs = repair_sketch(sk, &targets, sampler, workers, seed ^ R2_STREAM)?;
-        return Ok(repaired(
-            h1.rr,
-            pool.r2.clone(),
-            None,
-            Some(rs.sketch),
-            [h1.dirty_sets, rs.dirty_chunks * chunk_size],
-            [h1.dirty_chunks, rs.dirty_chunks],
-            false,
-        ));
-    }
-    let Some(st) = pool.sentinel.as_ref().filter(|st| !st.set.is_empty()) else {
-        let h1 = half(&pool.r1, seed)?;
-        let h2 = half(&pool.r2, seed ^ R2_STREAM)?;
-        return Ok(repaired(
-            h1.rr,
-            h2.rr,
-            pool.sentinel.clone(),
-            None,
-            [h1.dirty_sets, h2.dirty_sets],
-            [h1.dirty_chunks, h2.dirty_chunks],
-            false,
-        ));
-    };
-    let stale = delta.ops().iter().any(|op| {
-        let (u, v) = op.endpoints();
-        st.set.contains(u) || st.set.contains(v)
+    let (chunk, seed) = (config.chunk_size, config.seed);
+    let st = pool.sentinel.as_ref().filter(|st| !st.set.is_empty());
+    let stale = st.is_some_and(|st| {
+        delta.ops().iter().any(|op| {
+            let (u, v) = op.endpoints();
+            st.set.contains(u) || st.set.contains(v)
+        })
     });
-    if !stale {
-        let sentinel_half = |rr: &RrCollection, hits: &[u64], seed| {
-            repair_half_sentinel(
-                rr,
-                &targets,
-                st.set.nodes(),
-                st.from_chunk,
-                hits,
-                sampler,
-                workers,
-                chunk_size,
-                seed,
-                threads,
-            )
-        };
-        let h1 = sentinel_half(&pool.r1, &st.chunk_hits_r1, seed)?;
-        let h2 = sentinel_half(&pool.r2, &st.chunk_hits_r2, seed ^ R2_STREAM)?;
-        let sentinel = SentinelState {
-            set: st.set.clone(),
-            from_chunk: st.from_chunk,
-            chunk_hits_r1: h1.chunk_hits,
-            chunk_hits_r2: h2.chunk_hits,
-        };
-        return Ok(repaired(
-            h1.rr,
-            h2.rr,
-            Some(sentinel),
-            None,
-            [h1.dirty_sets, h2.dirty_sets],
-            [h1.dirty_chunks, h2.dirty_chunks],
-            false,
-        ));
-    }
-    // Stale sentinel: repair the plain prefix exactly, re-select Z' over
-    // it, then regenerate the whole truncated suffix under Z'.
-    let n = pool.r1.graph_n();
-    let prefix_sets = (st.from_chunk as usize) * chunk_size;
-    let mut p1 = RrCollection::new(n);
-    p1.extend_from_range(&pool.r1, 0..prefix_sets);
-    let mut p2 = RrCollection::new(n);
-    p2.extend_from_range(&pool.r2, 0..prefix_sets);
-    let h1 = half(&p1, seed)?;
-    let h2 = half(&p2, seed ^ R2_STREAM)?;
-    let budget = if config.sentinels > 0 {
-        config.sentinels
-    } else {
-        st.set.len()
+    let half = |rr: &RrCollection, idx: &InvertedIndex, map, z, w: &WorkerPool, seed| {
+        repair_half(rr, idx, map, z, &targets, sampler, w, chunk, seed)
     };
-    let fresh = SentinelSet::select(&[&h1.rr], sampler.graph(), budget);
-    let chunks = pool.chunks;
-    let suffix_chunks = chunks.saturating_sub(st.from_chunk) as usize;
-    let mut out1 = h1.rr;
-    let mut out2 = h2.rr;
-    let mut hits1 = vec![0u64; st.from_chunk as usize];
-    let mut hits2 = vec![0u64; st.from_chunk as usize];
-    if suffix_chunks > 0 {
-        let z = (!fresh.is_empty()).then(|| fresh.nodes().to_vec());
-        let b1 = workers.try_generate_chunks(
-            sampler,
-            z.as_deref(),
-            st.from_chunk..chunks,
-            chunk_size,
-            seed,
-        )?;
-        let b2 = workers.try_generate_chunks(
-            sampler,
-            z.as_deref(),
-            st.from_chunk..chunks,
-            chunk_size,
-            seed ^ R2_STREAM,
-        )?;
-        hits1.extend_from_slice(&b1.chunk_hits);
-        hits2.extend_from_slice(&b2.chunk_hits);
-        out1.extend_from(&b1.rr);
-        out2.extend_from(&b2.rr);
-    }
-    let sentinel = SentinelState {
-        set: fresh,
-        from_chunk: st.from_chunk,
-        chunk_hits_r1: hits1,
-        chunk_hits_r2: hits2,
+    let indexed =
+        |rr: &RrCollection, w: &WorkerPool| InvertedIndex::build_parallel(rr, w.threads());
+
+    let (repairs, mut sentinel) = match st {
+        Some(st) if stale => {
+            // Repair every arena's plain prefix exactly, re-select Z' over
+            // the union prefix, then regenerate the truncated suffix under
+            // Z'.
+            let from = st.from_chunk;
+            let prefixes = for_each_arena(workers, |s, w| {
+                let (old, map) = (pool.arena(s), pool.chunk_map(s));
+                let sets = map.owned_below(from) as usize * chunk;
+                let prefix = |rr: &RrCollection| {
+                    let mut p = RrCollection::new(rr.graph_n());
+                    p.extend_from_range(rr, 0..sets);
+                    p
+                };
+                let (p1, p2) = (prefix(old.selection_pool()), prefix(old.validation_pool()));
+                let h1 = half(&p1, &indexed(&p1, w), map, None, w, seed)?;
+                let h2 = half(&p2, &indexed(&p2, w), map, None, w, seed ^ R2_STREAM)?;
+                Ok::<_, PoolError>((h1, h2))
+            })
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
+            let budget = if config.sentinels > 0 {
+                config.sentinels
+            } else {
+                st.set.len()
+            };
+            let r1s: Vec<&RrCollection> = prefixes.iter().map(|(h1, _)| &h1.rr).collect();
+            let fresh = SentinelSet::select(&r1s, sampler.graph(), budget);
+            let z = (!fresh.is_empty()).then(|| fresh.nodes());
+            let repairs = for_each_arena(workers, |s, w| {
+                let (h1, h2) = &prefixes[s];
+                let ids = pool.chunk_map(s).owned(from..pool.chunks);
+                let b1 = w.try_generate_chunk_ids(sampler, z, &ids, chunk, seed)?;
+                let b2 = w.try_generate_chunk_ids(sampler, z, &ids, chunk, seed ^ R2_STREAM)?;
+                let joined = |prefix: &RrCollection, suffix: &RrCollection| {
+                    let mut rr = prefix.clone();
+                    rr.extend_from(suffix);
+                    rr
+                };
+                let hits = |b: &ParBatch| {
+                    ids.iter()
+                        .copied()
+                        .zip(b.chunk_hits.iter().copied())
+                        .collect()
+                };
+                Ok::<_, PoolError>(ArenaRepair {
+                    arena: Arc::new(Arena::new(
+                        joined(&h1.rr, &b1.rr),
+                        joined(&h2.rr, &b2.rr),
+                        None,
+                        w.threads(),
+                    )),
+                    dirty_sets: [h1.dirty_sets, h2.dirty_sets],
+                    dirty_chunks: [h1.dirty_chunks + ids.len(), h2.dirty_chunks + ids.len()],
+                    hits: [hits(&b1), hits(&b2)],
+                })
+            });
+            let sentinel = SentinelState {
+                set: fresh,
+                from_chunk: from,
+                chunk_hits_r1: vec![0; pool.chunks as usize],
+                chunk_hits_r2: vec![0; pool.chunks as usize],
+            };
+            (repairs, Some(sentinel))
+        }
+        _ => {
+            let z = st.map(|st| (st.set.nodes(), st.from_chunk));
+            let repairs = for_each_arena(workers, |s, w| {
+                let (old, map) = (pool.arena(s), pool.chunk_map(s));
+                let h1 = half(old.selection_pool(), old.inverted_index(), map, z, w, seed)?;
+                // Sketched validation tier (mutually exclusive with
+                // sentinels): the sketch repairs chunk-wise on the same
+                // membership predicate. It cannot count individual dirty
+                // sets, so `dirty_sets_r2` reports the regenerated whole
+                // chunks' set count (what was actually redrawn).
+                let (r2, sketch, sets2, chunks2, hits2) = match old.sketch_state() {
+                    Some(sk) => {
+                        let rs = repair_sketch(sk, &targets, sampler, w, seed ^ R2_STREAM)?;
+                        let sets = rs.dirty_chunks * chunk;
+                        let r2 = old.validation_pool().clone();
+                        (r2, Some(rs.sketch), sets, rs.dirty_chunks, Vec::new())
+                    }
+                    None => {
+                        let r2 = old.validation_pool();
+                        let h2 = half(r2, &indexed(r2, w), map, z, w, seed ^ R2_STREAM)?;
+                        (h2.rr, None, h2.dirty_sets, h2.dirty_chunks, h2.hits)
+                    }
+                };
+                let arena = if h1.dirty_chunks > 0 {
+                    Arc::new(Arena::new(h1.rr, r2, sketch, w.threads()))
+                } else if chunks2 > 0 {
+                    // R₁ untouched: keep it and its resident index.
+                    Arc::new(old.with_validation(r2, sketch))
+                } else {
+                    Arc::clone(&pool.arenas[s])
+                };
+                Ok::<_, PoolError>(ArenaRepair {
+                    arena,
+                    dirty_sets: [h1.dirty_sets, sets2],
+                    dirty_chunks: [h1.dirty_chunks, chunks2],
+                    hits: [h1.hits, hits2],
+                })
+            });
+            (repairs, pool.sentinel.clone())
+        }
     };
-    Ok(repaired(
-        out1,
-        out2,
-        Some(sentinel),
-        None,
-        [h1.dirty_sets, h2.dirty_sets],
-        [
-            h1.dirty_chunks + suffix_chunks,
-            h2.dirty_chunks + suffix_chunks,
-        ],
-        true,
-    ))
+
+    let mut report = RepairReport {
+        targets: targets.len(),
+        sentinel_refreshed: stale,
+        ..RepairReport::default()
+    };
+    let mut arenas = Vec::with_capacity(pool.arena_count());
+    for repair in repairs {
+        let r = repair?;
+        report.dirty_sets_r1 += r.dirty_sets[0];
+        report.dirty_sets_r2 += r.dirty_sets[1];
+        report.dirty_chunks_r1 += r.dirty_chunks[0];
+        report.dirty_chunks_r2 += r.dirty_chunks[1];
+        if let Some(st) = sentinel.as_mut() {
+            for (c, h) in &r.hits[0] {
+                st.chunk_hits_r1[*c as usize] = *h;
+            }
+            for (c, h) in &r.hits[1] {
+                st.chunk_hits_r2[*c as usize] = *h;
+            }
+        }
+        arenas.push(r.arena);
+    }
+    let pool = PoolState {
+        arenas,
+        chunks: pool.chunks,
+        sentinel,
+    };
+    report.regenerated_sets = (report.dirty_chunks_r1 + report.dirty_chunks_r2) * chunk;
+    report.pool_sets = 2 * pool.pool_len();
+    Ok(RepairedPool { pool, report })
 }
 
 #[cfg(test)]
@@ -614,6 +456,34 @@ mod tests {
     use subsim_diffusion::RrStrategy;
     use subsim_graph::generators::barabasi_albert;
     use subsim_graph::{Graph, GraphBuilder, WeightModel};
+
+    /// [`repair_half`] over a whole plain half: identity chunk map, index
+    /// built with `threads` threads.
+    fn repair_plain(
+        pool: &RrCollection,
+        targets: &[NodeId],
+        sampler: &RrSampler<'_>,
+        workers: &WorkerPool,
+        chunk_size: usize,
+        seed: u64,
+        threads: usize,
+    ) -> Result<RepairedHalf, PoolError> {
+        let idx = InvertedIndex::build_parallel(pool, threads);
+        repair_half(
+            pool,
+            &idx,
+            ChunkMap {
+                arena: 0,
+                arenas: 1,
+            },
+            None,
+            targets,
+            sampler,
+            workers,
+            chunk_size,
+            seed,
+        )
+    }
 
     /// Regenerates a whole half from scratch — the reference repair.
     fn full_rebuild(
@@ -666,7 +536,7 @@ mod tests {
         let sampler = RrSampler::new(&new, RrStrategy::SubsimIc);
         for threads in [1, 2, 4] {
             let workers = WorkerPool::new(threads);
-            let repaired = repair_half(
+            let repaired = repair_plain(
                 &old_pool,
                 &[hub],
                 &sampler,
@@ -689,6 +559,60 @@ mod tests {
                 repaired.dirty_chunks <= chunks as usize,
                 "chunk count bounded"
             );
+        }
+
+        // Arena `s` of `N` stores the owned chunks `s + j·N`; with and
+        // without a sentinel boundary inside the stream, its repair equals
+        // those chunk ids generated on the new graph. `Z` avoids the
+        // mutated edge's endpoints, as a non-stale repair requires.
+        let u = old.in_neighbors(hub)[0];
+        let z = (0..old.n() as NodeId)
+            .filter(|&v| v != hub && v != u)
+            .max_by_key(|&v| old.in_degree(v))
+            .unwrap();
+        let from_chunk = 4u64;
+        let old_sampler = RrSampler::new(&old, RrStrategy::SubsimIc);
+        let workers = WorkerPool::new(2);
+        let owned = |sampler: &RrSampler<'_>, ids: &[u64], sentinel: bool| {
+            let (trunc, plain): (Vec<u64>, Vec<u64>) =
+                ids.iter().partition(|&&c| sentinel && c >= from_chunk);
+            let mut rr = workers
+                .generate_chunk_ids(sampler, None, &plain, chunk_size, seed)
+                .rr;
+            let b = workers.generate_chunk_ids(sampler, Some(&[z]), &trunc, chunk_size, seed);
+            rr.extend_from(&b.rr);
+            (rr, trunc.into_iter().zip(b.chunk_hits).collect::<Vec<_>>())
+        };
+        for arenas in [2u64, 3] {
+            for s in 0..arenas {
+                let map = ChunkMap { arena: s, arenas };
+                let ids = map.owned(0..chunks);
+                for sentinel in [false, true] {
+                    let tag = format!("arena {s} of {arenas}, sentinel={sentinel}");
+                    let (old_arena, _) = owned(&old_sampler, &ids, sentinel);
+                    let (reference, hits) = owned(&sampler, &ids, sentinel);
+                    let idx = InvertedIndex::build(&old_arena);
+                    let repaired = repair_half(
+                        &old_arena,
+                        &idx,
+                        map,
+                        sentinel.then_some((&[z][..], from_chunk)),
+                        &[hub],
+                        &sampler,
+                        &workers,
+                        chunk_size,
+                        seed,
+                    )
+                    .unwrap();
+                    assert_eq!(repaired.rr.len(), reference.len(), "{tag}");
+                    for i in 0..reference.len() {
+                        assert_eq!(repaired.rr.get(i), reference.get(i), "{tag} set {i}");
+                    }
+                    for (c, h) in &repaired.hits {
+                        assert!(hits.contains(&(*c, *h)), "{tag}: hits of chunk {c}");
+                    }
+                }
+            }
         }
     }
 
@@ -756,7 +680,7 @@ mod tests {
             return;
         };
         let repaired =
-            repair_half(&pool, &[absent as NodeId], &sampler, &workers, 16, 5, 2).unwrap();
+            repair_plain(&pool, &[absent as NodeId], &sampler, &workers, 16, 5, 2).unwrap();
         assert_eq!(repaired.dirty_sets, 0);
         assert_eq!(repaired.dirty_chunks, 0);
         for i in 0..pool.len() {
@@ -779,11 +703,11 @@ mod tests {
         let workers = WorkerPool::new(3);
         let pool = full_rebuild(&g, 8, 16, 9, RrStrategy::SubsimIc);
         workers.set_chunk_hook(Some(std::sync::Arc::new(|_, _| panic!("injected fault"))));
-        let err = repair_half(&pool, &[hub], &sampler, &workers, 16, 9, 3).unwrap_err();
+        let err = repair_plain(&pool, &[hub], &sampler, &workers, 16, 9, 3).unwrap_err();
         assert_eq!(err, PoolError::WorkerPanicked);
         // Hook cleared: the same pool repairs normally afterwards.
         workers.set_chunk_hook(None);
-        let repaired = repair_half(&pool, &[hub], &sampler, &workers, 16, 9, 3).unwrap();
+        let repaired = repair_plain(&pool, &[hub], &sampler, &workers, 16, 9, 3).unwrap();
         assert_eq!(repaired.rr.len(), pool.len());
     }
 

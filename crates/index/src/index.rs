@@ -253,8 +253,8 @@ impl std::fmt::Debug for RrIndex<'_> {
         f.debug_struct("RrIndex")
             .field("config", &self.config)
             .field("chunks", &self.pool.chunks)
-            .field("r1_sets", &self.pool.r1.len())
-            .field("r2_sets", &self.pool.r2.len())
+            .field("r1_sets", &self.pool.selection_pool().len())
+            .field("r2_sets", &self.pool.validation_pool().len())
             .finish_non_exhaustive()
     }
 }
@@ -263,14 +263,7 @@ impl<'g> RrIndex<'g> {
     /// An empty index over `g`; the first query (or [`RrIndex::warm`])
     /// populates the pool.
     pub fn new(g: &'g Graph, config: IndexConfig) -> Self {
-        assert!(config.threads > 0, "need at least one worker");
-        assert!(config.chunk_size > 0, "chunks must hold at least one set");
-        assert!(
-            config.sketch == 0 || config.sentinels == 0,
-            "sketch and sentinel tiers are mutually exclusive: truncated \
-             sets would poison the count-distinct estimates"
-        );
-        Self::with_pool(g, config, PoolState::empty(g.n(), &config))
+        Self::with_pool(g, config, PoolState::empty(g.n(), &config, 1))
     }
 
     fn with_pool(g: &'g Graph, config: IndexConfig, pool: PoolState) -> Self {
@@ -298,14 +291,14 @@ impl<'g> RrIndex<'g> {
         config: IndexConfig,
         state: PoolState,
     ) -> Result<Self, IndexError> {
-        let PoolState {
-            r1,
-            r2,
-            chunks,
-            sentinel,
-            sketch,
-        } = state;
         let mismatch = |reason: String| IndexError::SnapshotMismatch { reason };
+        if state.arena_count() != 1 {
+            return Err(mismatch(format!(
+                "pool has {} arenas, a sequential index holds one",
+                state.arena_count()
+            )));
+        }
+        let (r1, r2) = (state.selection_pool(), state.validation_pool());
         if r1.graph_n() != g.n() || r2.graph_n() != g.n() {
             return Err(mismatch(format!(
                 "pool halves are over {}/{} nodes, graph has {}",
@@ -314,26 +307,26 @@ impl<'g> RrIndex<'g> {
                 g.n()
             )));
         }
-        let expect = chunks as usize * config.chunk_size;
-        let expect_r2 = if sketch.is_some() { 0 } else { expect };
+        let expect = state.chunks as usize * config.chunk_size;
+        let expect_r2 = if state.sketch_state().is_some() {
+            0
+        } else {
+            expect
+        };
         if r1.len() != expect || r2.len() != expect_r2 {
             return Err(mismatch(format!(
                 "pool halves hold {}/{} sets, chunk cursor {} × chunk size {} requires {}/{}",
                 r1.len(),
                 r2.len(),
-                chunks,
+                state.chunks,
                 config.chunk_size,
                 expect,
                 expect_r2
             )));
         }
-        let pool = PoolState {
-            r1,
-            r2,
-            chunks,
-            sentinel: None,
-            sketch: None,
-        };
+        let mut pool = state;
+        let sentinel = pool.sentinel.take();
+        let sketch = pool.set_sketch(None);
         let mut index = Self::with_pool(g, config, pool);
         index.set_sentinel_state(sentinel)?;
         index.set_sketch_state(sketch)?;
@@ -376,7 +369,7 @@ impl<'g> RrIndex<'g> {
 
     /// The sketched validation pool, if the sketch tier is active.
     pub fn sketch_state(&self) -> Option<&SketchedPool> {
-        self.pool.sketch.as_ref()
+        self.pool.sketch_state()
     }
 
     /// Installs (or clears) an externally held sketched validation pool.
@@ -415,7 +408,7 @@ impl<'g> RrIndex<'g> {
             }
             self.config.sketch = sk.precision() as usize;
         }
-        self.pool.sketch = state;
+        self.pool.set_sketch(state);
         Ok(())
     }
 
@@ -449,13 +442,13 @@ impl<'g> RrIndex<'g> {
 
     /// Sets per pool half.
     pub fn pool_len(&self) -> usize {
-        self.pool.r1.len()
+        self.pool.pool_len()
     }
 
     /// Arena node entries across both halves (what
     /// [`IndexConfig::max_nodes`] caps).
     pub fn total_nodes(&self) -> usize {
-        self.pool.r1.total_nodes() + self.pool.r2.total_nodes()
+        self.pool.nodes_in_use()
     }
 
     /// The RNG cursor: complete chunks generated per half.
@@ -467,19 +460,19 @@ impl<'g> RrIndex<'g> {
     /// index is exact), and the exact-arena bytes it displaces — the
     /// pair behind `IndexMetrics`' compression ratio.
     pub fn sketch_bytes(&self) -> (u64, u64) {
-        self.pool.sketch.as_ref().map_or((0, 0), |sk| {
+        self.pool.sketch_state().map_or((0, 0), |sk| {
             (sk.resident_bytes(), sk.displaced_exact_bytes())
         })
     }
 
     /// The selection half `R₁` (read-only).
     pub fn selection_pool(&self) -> &RrCollection {
-        &self.pool.r1
+        self.pool.selection_pool()
     }
 
     /// The validation half `R₂` (read-only).
     pub fn validation_pool(&self) -> &RrCollection {
-        &self.pool.r2
+        self.pool.validation_pool()
     }
 
     /// Lifetime counters.
@@ -550,7 +543,7 @@ impl CertifiedPool for RrIndex<'_> {
         let counters = &mut self.counters;
         self.pool.grow_to(
             &self.sampler,
-            workers,
+            std::slice::from_ref(workers),
             &self.config,
             target_sets,
             &mut |b| counters.record(b),
@@ -561,12 +554,13 @@ impl CertifiedPool for RrIndex<'_> {
         self.spawn_workers();
         let workers = self.workers.as_ref().expect("workers spawned");
         let counters = &mut self.counters;
-        let regenerated =
-            self.pool
-                .promote_sketch(&self.sampler, workers, &self.config, &mut |b| {
-                    counters.record(b)
-                })?;
-        self.config.sketch = self.pool.sketch.as_ref().map_or(0, |sk| sk.precision()) as usize;
+        let regenerated = self.pool.promote_sketch(
+            &self.sampler,
+            std::slice::from_ref(workers),
+            &self.config,
+            &mut |b| counters.record(b),
+        )?;
+        self.config.sketch = self.pool.sketch_precision().map_or(0, usize::from);
         Ok(regenerated)
     }
 }

@@ -62,7 +62,7 @@ pub use fingerprint::graph_fingerprint;
 pub use index::{
     IndexConfig, QueryAnswer, RrIndex, SentinelState, R2_STREAM, SENTINEL_WARMUP_CHUNKS,
 };
-pub use pool::{Generated, PoolState};
+pub use pool::{for_each_arena, Arena, ChunkMap, Generated, PoolState};
 pub use snapshot::{read_index, write_index};
 pub use stats::{IndexCounters, QueryStats};
 pub use sync::{

@@ -395,13 +395,7 @@ pub fn read_index<'g, R: Read>(g: &'g Graph, r: R) -> Result<RrIndex<'g>, IndexE
     RrIndex::from_state(
         g,
         config,
-        PoolState {
-            r1,
-            r2,
-            chunks,
-            sentinel,
-            sketch,
-        },
+        PoolState::single(r1, r2, sketch, chunks, sentinel),
     )
 }
 

@@ -1,8 +1,8 @@
 //! Concurrent serving on top of [`RrIndex`]'s deterministic pool.
 //!
 //! [`ConcurrentRrIndex`] splits the index into an immutable, atomically
-//! swappable [`PoolState`] (the two RR halves plus the chunk cursor, held
-//! behind `Arc`) and a mutex-guarded writer that performs
+//! swappable [`PoolState`] (one arena with the two RR halves, plus the
+//! chunk cursor, held behind `Arc`) and a mutex-guarded writer that performs
 //! chunk-deterministic top-ups off to the side. Query threads briefly take
 //! a read lock only to clone the `Arc`, then run greedy + bounds entirely
 //! on their private snapshot — no lock is held during certification, and a
@@ -10,12 +10,13 @@
 //! construction).
 //!
 //! Determinism is inherited, not re-proven: growth runs the same
-//! [`PoolState::grow_to`] step as the sequential index, so pool *content
-//! at any size* is a pure function of `(seed, strategy, chunk_size, size)`
-//! regardless of how many threads raced, which queries triggered growth,
-//! or how top-ups were sliced. Concurrent interleavings may change how far
-//! the pool has grown at a given moment — never what any prefix of it
-//! contains.
+//! one-arena [`PoolState::grow_to`] step as the sequential index, so pool
+//! *content at any size* is a pure function of `(seed, strategy,
+//! chunk_size, size)` regardless of how many threads raced, which queries
+//! triggered growth, or how top-ups were sliced. Concurrent interleavings
+//! may change how far the pool has grown at a given moment — never what
+//! any prefix of it contains. The snapshot carries the arena's resident
+//! inverted index, so no certification round rebuilds it.
 //!
 //! Observability lives in [`IndexMetrics`]: relaxed atomic counters and a
 //! log₂ latency histogram updated by query and writer threads without
@@ -186,9 +187,8 @@ impl<'g> ConcurrentRrIndex<'g> {
         // Complete slices publish even when a later one failed, so the
         // pool keeps the progress a failed top-up made (as the
         // sequential index does).
-        let changed = next.chunks != base.chunks
-            || next.sketch.as_ref().map(|sk| sk.precision())
-                != base.sketch.as_ref().map(|sk| sk.precision());
+        let changed =
+            next.chunks != base.chunks || next.sketch_precision() != base.sketch_precision();
         let snap = if changed { self.publish(next) } else { base };
         result.map(|generated| (snap, generated))
     }
@@ -199,8 +199,7 @@ impl<'g> ConcurrentRrIndex<'g> {
         self.metrics
             .snapshot_publishes
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.metrics
-            .record_pool_parts([(&snap.r1, &snap.r2, snap.sketch.as_ref())]);
+        self.metrics.record_pool(&snap);
         snap
     }
 
@@ -214,7 +213,7 @@ impl<'g> ConcurrentRrIndex<'g> {
             |pool, workers| {
                 pool.grow_to(
                     &self.sampler,
-                    workers,
+                    std::slice::from_ref(workers),
                     &self.config,
                     target_sets,
                     &mut |b| self.metrics.record_generated(b),
@@ -227,11 +226,14 @@ impl<'g> ConcurrentRrIndex<'g> {
     /// already promoted past it.
     fn promote_sketch(&self, observed: u8) -> Result<(Arc<PoolState>, usize), IndexError> {
         self.write(
-            |pool| pool.sketch.as_ref().map(|sk| sk.precision()) != Some(observed),
+            |pool| pool.sketch_precision() != Some(observed),
             |pool, workers| {
-                pool.promote_sketch(&self.sampler, workers, &self.config, &mut |b| {
-                    self.metrics.record_generated(b)
-                })
+                pool.promote_sketch(
+                    &self.sampler,
+                    std::slice::from_ref(workers),
+                    &self.config,
+                    &mut |b| self.metrics.record_generated(b),
+                )
             },
         )
     }

@@ -27,4 +27,4 @@ pub mod sharded;
 
 pub use net::frame::{encode_frame, FrameDecoder, FrameItem, HEADER_LEN};
 pub use net::server::{serve_framed, Listener, ServerConfig, ServerReport, SocketPathGuard};
-pub use sharded::{ShardSnapshot, ShardedDeltaIndex, ShardedSnapshot};
+pub use sharded::{ShardedDeltaIndex, ShardedSnapshot};

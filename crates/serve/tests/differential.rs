@@ -7,11 +7,11 @@
 //! wall-clock, never output.
 
 use proptest::prelude::*;
-use subsim_delta::{DeltaError, DeltaIndex, GraphDelta};
+use subsim_delta::{DeltaError, DeltaIndex, GraphDelta, VersionedGraph};
 use subsim_diffusion::RrStrategy;
 use subsim_graph::generators::barabasi_albert;
 use subsim_graph::{Graph, WeightModel};
-use subsim_index::IndexConfig;
+use subsim_index::{IndexConfig, IndexError, RrIndex, SentinelState};
 use subsim_serve::ShardedDeltaIndex;
 
 fn config() -> IndexConfig {
@@ -652,4 +652,267 @@ fn pool_byte_gauges_are_summed_over_shards() {
     assert!(m.sketch_pool_bytes > 0);
     assert!(m.sketch_displaced_bytes > 0);
     assert!(m.sketch_compression > 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Node budget: one check per growth slice on every layout.
+// ---------------------------------------------------------------------------
+
+/// A node cap that falls inside a doubling stops every layout at the same
+/// slice the sequential index stops at: the same answer or the same
+/// `MemoryBudget` refusal, over the same union pool.
+#[test]
+fn node_budget_stops_every_layout_where_the_sequential_index_stops() {
+    let g = barabasi_albert(400, 4, WeightModel::Wc, 3);
+    let config = IndexConfig::new(RrStrategy::SubsimIc)
+        .seed(5)
+        .chunk_size(16)
+        .threads(2);
+    let mut refused = 0;
+    // The pool certifies at 2048 sets per half (29 171 nodes); the first
+    // three caps fall inside the doubling from 1024.
+    for cap in [12_000usize, 20_000, 26_000, 40_000] {
+        let mut seq = DeltaIndex::new(g.clone(), config.max_nodes(cap)).unwrap();
+        let want = seq.query(10, 0.05, 0.001);
+        refused += usize::from(want.is_err());
+        for shards in [1usize, 2, 3] {
+            let tag = format!("cap={cap} shards={shards}");
+            let sharded = ShardedDeltaIndex::new(g.clone(), config.max_nodes(cap), shards).unwrap();
+            let got = sharded.query(10, 0.05, 0.001);
+            match (&want, &got) {
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(a.seeds, b.seeds, "{tag}");
+                    assert_eq!(a.stats.lower_bound, b.stats.lower_bound, "{tag}");
+                    assert_eq!(a.stats.upper_bound, b.stats.upper_bound, "{tag}");
+                    assert_eq!(a.stats.pool_after, b.stats.pool_after, "{tag}");
+                }
+                (
+                    Err(DeltaError::Index(IndexError::MemoryBudget { in_use: a, .. })),
+                    Err(DeltaError::Index(IndexError::MemoryBudget { in_use: b, .. })),
+                ) => assert_eq!(a, b, "{tag}: nodes in use at the refusal"),
+                (a, b) => panic!("{tag}: divergent outcomes {a:?} vs {b:?}"),
+            }
+            assert_pools_eq(&seq, &sharded, &tag);
+        }
+    }
+    assert_eq!(
+        refused, 3,
+        "the caps inside the doubling refuse, the last answers"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Independent referee: repaired shards against an index that never repaired.
+// ---------------------------------------------------------------------------
+
+/// Canonicalizes raw proptest tuples into a valid delta against `vg`
+/// whose endpoints all avoid `z`: existing edges delete (flag set) or
+/// reweight, absent edges insert; at most one op per `(u, v)`.
+fn delta_avoiding(vg: &VersionedGraph, raw: &[(u32, u32, u32, bool)], z: &[u32]) -> GraphDelta {
+    let n = vg.graph().n() as u32;
+    let mut delta = GraphDelta::new();
+    let mut touched = std::collections::HashSet::new();
+    for &(ru, rv, rp, flag) in raw {
+        let (u, v) = (ru % n, rv % n);
+        if z.contains(&u) || z.contains(&v) || !touched.insert((u, v)) {
+            continue;
+        }
+        let p = (rp % 1000 + 1) as f64 / 1001.0;
+        delta = match (vg.has_edge(u, v), flag) {
+            (true, true) => delta.delete_edge(u, v),
+            (true, false) => delta.reweight_edge(u, v, p),
+            (false, _) => delta.insert_edge(u, v, p),
+        };
+    }
+    delta
+}
+
+/// Replays `batches` on an N-shard index, then checks its union pools,
+/// tier state and one query against a fresh index built on the final
+/// graph and warmed to the same cursor — a reference that never ran a
+/// repair. The reference is an [`RrIndex`] (the engine `DeltaIndex` runs)
+/// because a sentinel pool's `Z` must be pinned at the warmup boundary:
+/// deltas that avoid `Z` keep it, but a fresh selection on the new graph
+/// need not pick it again.
+fn assert_shards_equal_rebuild(
+    n: usize,
+    graph_seed: u64,
+    shards: usize,
+    cfg: IndexConfig,
+    batches: &[Vec<(u32, u32, u32, bool)>],
+    k: usize,
+) -> Result<(), TestCaseError> {
+    let g = graph(n, graph_seed);
+    let sharded = ShardedDeltaIndex::new(g.clone(), cfg, shards).unwrap();
+    sharded.warm(320).unwrap();
+    let z: Vec<u32> = sharded
+        .load()
+        .sentinel_state()
+        .map_or_else(Vec::new, |st| st.set.nodes().to_vec());
+    let mut vg = VersionedGraph::new(g).unwrap();
+    for raw in batches {
+        let d = delta_avoiding(&vg, raw, &z);
+        if d.is_empty() {
+            continue;
+        }
+        let report = sharded.apply_delta(&d).unwrap();
+        prop_assert!(!report.sentinel_refreshed);
+        vg.apply(&d).unwrap();
+    }
+    let snap = sharded.load();
+    prop_assert_eq!(snap.fingerprint(), vg.fingerprint());
+
+    let mut fresh = RrIndex::new(vg.graph(), cfg);
+    if let Some(st) = snap.sentinel_state() {
+        fresh.warm(st.from_chunk as usize * cfg.chunk_size).unwrap();
+        let from = st.from_chunk as usize;
+        fresh
+            .set_sentinel_state(Some(SentinelState {
+                set: st.set.clone(),
+                from_chunk: st.from_chunk,
+                chunk_hits_r1: vec![0; from],
+                chunk_hits_r2: vec![0; from],
+            }))
+            .unwrap();
+    }
+    fresh.warm(snap.pool_len()).unwrap();
+    prop_assert_eq!(fresh.chunk_cursor(), snap.chunk_cursor());
+    prop_assert_eq!(fresh.sentinel_state(), snap.sentinel_state());
+    let union_sketch = snap.union_sketch();
+    prop_assert_eq!(fresh.sketch_state(), union_sketch.as_ref());
+    let (u1, u2) = snap.union_pools(cfg.chunk_size);
+    prop_assert_eq!(u1.len(), fresh.selection_pool().len());
+    prop_assert_eq!(u2.len(), fresh.validation_pool().len());
+    for i in 0..u1.len() {
+        prop_assert_eq!(u1.get(i), fresh.selection_pool().get(i), "r1 set {}", i);
+    }
+    for i in 0..u2.len() {
+        prop_assert_eq!(u2.get(i), fresh.validation_pool().get(i), "r2 set {}", i);
+    }
+    drop(snap);
+    let a = sharded.query(k, 0.3, 0.1).unwrap();
+    let b = fresh.query(k, 0.3, 0.1).unwrap();
+    prop_assert_eq!(a.seeds, b.seeds);
+    prop_assert_eq!(a.stats.lower_bound, b.stats.lower_bound);
+    prop_assert_eq!(a.stats.upper_bound, b.stats.upper_bound);
+    prop_assert_eq!(a.stats.pool_after, b.stats.pool_after);
+    Ok(())
+}
+
+/// The referee's tiers: plain, sketched validation, sentinel truncation.
+fn tier_config(tier: u8) -> IndexConfig {
+    match tier {
+        0 => config(),
+        1 => sketch_config(),
+        _ => sentinel_config(),
+    }
+}
+
+fn op_batches(
+    max_batches: usize,
+    max_ops: usize,
+) -> impl Strategy<Value = Vec<Vec<(u32, u32, u32, bool)>>> {
+    proptest::collection::vec(
+        proptest::collection::vec(
+            (any::<u32>(), any::<u32>(), any::<u32>(), any::<bool>()),
+            1..=max_ops,
+        ),
+        1..=max_batches,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn repaired_shards_equal_a_fresh_rebuild(
+        shards in prop_oneof![Just(2usize), Just(3), Just(5)],
+        tier in 0u8..3,
+        graph_seed in 0u64..100,
+        k in 1usize..5,
+        batches in op_batches(3, 3),
+    ) {
+        assert_shards_equal_rebuild(120, graph_seed, shards, tier_config(tier), &batches, k)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Heavy referee (CI `--include-ignored`): bigger graphs and longer
+    /// delta scripts.
+    #[test]
+    #[ignore = "heavy differential battery; run with --include-ignored"]
+    fn repaired_shards_equal_a_fresh_rebuild_heavy(
+        shards in prop_oneof![Just(2usize), Just(3), Just(5)],
+        tier in 0u8..3,
+        n in 150usize..300,
+        graph_seed in 0u64..1000,
+        k in 1usize..8,
+        batches in op_batches(6, 5),
+    ) {
+        assert_shards_equal_rebuild(n, graph_seed, shards, tier_config(tier), &batches, k)?;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// One metrics path: every layout records the same generation and repair.
+// ---------------------------------------------------------------------------
+
+/// After the same warm, query and delta script, the sequential index and
+/// the sharded one at N = 1 and N = 2 report equal generation, sentinel
+/// and repair counters, for the sentinel tier (including a stale
+/// refresh) and the sketch tier (including any ladder promotion).
+#[test]
+fn metrics_agree_across_layouts() {
+    let g = graph(250, 47);
+    for cfg in [sentinel_config(), sketch_config()] {
+        let mut seq = DeltaIndex::new(g.clone(), cfg).unwrap();
+        seq.warm(320).unwrap();
+        let z: Vec<u32> = seq
+            .sentinel_state()
+            .map_or_else(|| vec![0], |st| st.set.nodes().to_vec());
+        let (u, v) = (0..g.n() as u32)
+            .flat_map(|u| (0..g.n() as u32).map(move |v| (u, v)))
+            .find(|&(u, v)| {
+                u != v && !z.contains(&u) && !z.contains(&v) && g.prob_of_edge(u, v).is_none()
+            })
+            .expect("a missing edge away from Z exists");
+        let w = (0..g.n() as u32)
+            .find(|&w| w != z[0] && g.prob_of_edge(w, z[0]).is_none())
+            .expect("a missing edge into z[0] exists");
+        let deltas = [
+            GraphDelta::new().insert_edge(u, v, 0.55),
+            GraphDelta::new().insert_edge(w, z[0], 0.7),
+        ];
+        seq.query(4, 0.1, 0.01).unwrap();
+        for d in &deltas {
+            seq.apply_delta(d).unwrap();
+            seq.query(5, 0.1, 0.01).unwrap();
+        }
+        let want = seq.metrics();
+        assert!(want.rr_sets_generated > 0 && want.sets_repaired > 0);
+        for shards in [1usize, 2] {
+            let sharded = ShardedDeltaIndex::new(g.clone(), cfg, shards).unwrap();
+            sharded.warm(320).unwrap();
+            sharded.query(4, 0.1, 0.01).unwrap();
+            for d in &deltas {
+                sharded.apply_delta(d).unwrap();
+                sharded.query(5, 0.1, 0.01).unwrap();
+            }
+            let got = sharded.metrics();
+            let tag = format!(
+                "sentinels={} sketch={} shards={shards}",
+                cfg.sentinels, cfg.sketch
+            );
+            assert_eq!(got.rr_sets_generated, want.rr_sets_generated, "{tag}");
+            assert_eq!(
+                got.truncated_sets_generated, want.truncated_sets_generated,
+                "{tag}"
+            );
+            assert_eq!(got.sentinel_hits, want.sentinel_hits, "{tag}");
+            assert_eq!(got.sets_repaired, want.sets_repaired, "{tag}");
+            assert_eq!(got.chunks_repaired, want.chunks_repaired, "{tag}");
+        }
+    }
 }
