@@ -179,12 +179,16 @@ fn initial_counts(idxs: &[&InvertedIndex], n: usize, threads: usize) -> Vec<usiz
 
 /// Runs greedy max-coverage over `rr`.
 ///
-/// Uses a lazily-updated max-heap keyed by `(marginal coverage,
-/// out-degree, node id)`; because marginals only decrease (submodularity),
-/// a popped entry is either current or can be re-pushed with its corrected
-/// value. Each round extracts the `bound_terms` freshest maxima, which
-/// yields both the next seed (the maximum) and the Eq. 2 top-`k` marginal
-/// sum in one sweep.
+/// Each seed is one pop of a lazily-updated max-heap keyed by `(marginal
+/// coverage, out-degree, node id)`: marginals only decrease
+/// (submodularity), so a popped entry is either current or is re-pushed
+/// with its corrected value. The Eq. 2 top-`bound_terms` marginal sum is
+/// read off a histogram of current marginals that the coverage update
+/// keeps in step, walked down from its highest non-empty bucket. Each
+/// walk starts at the marginal that round's seed then covers, so the
+/// walks of one pass step over `O(|R| + select)` buckets in total, and
+/// the pass costs `O(Σ|R| + n + select·(log n + |exclude|))` plus the
+/// heap's re-pushes of stale entries.
 pub fn greedy_max_coverage(rr: &RrCollection, cfg: &GreedyConfig<'_>) -> GreedyOutcome {
     let prep = effective_prep_threads(cfg.threads, rr.len(), rr.total_nodes(), available_cores());
     let idx = InvertedIndex::build_parallel(rr, prep);
@@ -267,55 +271,40 @@ fn greedy_over_indexes(
     for &v in cfg.exclude {
         selected[v as usize] = true;
     }
+    // Excluded nodes keep their counts but never contribute a bound term.
+    let mut excluded = cfg.exclude.to_vec();
+    excluded.sort_unstable();
+    excluded.dedup();
+    let mut hist = (cfg.bound_terms > 0).then(|| MarginalHistogram::new(&count));
     let mut seeds = Vec::with_capacity(cfg.select);
     let mut lambda = cfg.base_covered;
     let mut prefix = Vec::with_capacity(cfg.select + 1);
     prefix.push(lambda);
     let mut upper = f64::INFINITY;
 
-    // Pops up to `want` entries whose stored count is current, returning
-    // them ordered best-first. Stale entries are re-pushed corrected.
-    let pop_fresh = |heap: &mut BinaryHeap<(usize, u32, NodeId)>,
-                     count: &[usize],
-                     selected: &[bool],
-                     want: usize| {
-        let mut fresh: Vec<(usize, u32, NodeId)> = Vec::with_capacity(want);
-        while fresh.len() < want {
-            let Some((c, d, v)) = heap.pop() else { break };
+    for _round in 0..cfg.select {
+        if let Some(hist) = hist.as_mut() {
+            let marginal_sum = hist.top_sum(cfg.bound_terms, &excluded, &count);
+            upper = upper.min((lambda + marginal_sum) as f64);
+        }
+
+        // The next seed: the first fresh heap entry. Every node outside
+        // the seeds and `exclude` holds exactly one entry, so an empty
+        // heap means nothing is left to pick (select > n).
+        let seed = loop {
+            let Some((c, d, v)) = heap.pop() else {
+                break None;
+            };
             if selected[v as usize] {
-                continue; // seeds never re-enter
+                continue; // seeds and excluded nodes never re-enter
             }
             if c != count[v as usize] {
                 heap.push((count[v as usize], d, v));
                 continue;
             }
-            fresh.push((c, d, v));
-        }
-        fresh
-    };
-
-    for _round in 0..cfg.select {
-        let want = cfg.bound_terms.max(1);
-        let fresh = pop_fresh(&mut heap, &count, &selected, want);
-
-        if cfg.bound_terms > 0 {
-            let marginal_sum: usize = fresh.iter().map(|&(c, _, _)| c).sum();
-            upper = upper.min((lambda + marginal_sum) as f64);
-        }
-
-        // The next seed: the best fresh entry, or an arbitrary unselected
-        // node once every remaining marginal is zero and the heap drained.
-        let seed = match fresh.first() {
-            Some(&(_, _, v)) => v,
-            None => match (0..n as NodeId).find(|&v| !selected[v as usize]) {
-                Some(v) => v,
-                None => break, // select > n: nothing left to pick
-            },
+            break Some(v);
         };
-        // Return the unpicked fresh entries for later rounds.
-        for &entry in fresh.iter().skip(1) {
-            heap.push(entry);
-        }
+        let Some(seed) = seed else { break };
 
         selected[seed as usize] = true;
         lambda += count[seed as usize];
@@ -328,7 +317,11 @@ fn greedy_over_indexes(
                 }
                 covered[sid] = true;
                 for &w in rr.get(sid) {
-                    count[w as usize] -= 1;
+                    let c = &mut count[w as usize];
+                    if let Some(hist) = hist.as_mut() {
+                        hist.decrement(*c);
+                    }
+                    *c -= 1;
                 }
             }
         }
@@ -338,9 +331,8 @@ fn greedy_over_indexes(
     }
 
     // Final bound term at i = select.
-    if cfg.bound_terms > 0 {
-        let fresh = pop_fresh(&mut heap, &count, &selected, cfg.bound_terms);
-        let marginal_sum: usize = fresh.iter().map(|&(c, _, _)| c).sum();
+    if let Some(hist) = hist.as_mut() {
+        let marginal_sum = hist.top_sum(cfg.bound_terms, &excluded, &count);
         upper = upper.min((lambda + marginal_sum) as f64);
     }
 
@@ -348,6 +340,57 @@ fn greedy_over_indexes(
         seeds,
         prefix_coverage: prefix,
         coverage_upper: upper,
+    }
+}
+
+/// Number of nodes per current marginal.
+struct MarginalHistogram {
+    /// `hist[c]`: nodes whose current marginal is `c`.
+    hist: Vec<usize>,
+    /// Upper bound on the highest bucket holding a node the walk counts;
+    /// lowered lazily. Only excluded nodes are ever re-inserted, and they
+    /// are taken out before every walk, so it never has to rise.
+    top: usize,
+}
+
+impl MarginalHistogram {
+    fn new(count: &[usize]) -> Self {
+        let top = count.iter().copied().max().unwrap_or(0);
+        let mut hist = vec![0; top + 1];
+        for &c in count {
+            hist[c] += 1;
+        }
+        MarginalHistogram { hist, top }
+    }
+
+    /// Moves one node from bucket `c` to `c - 1`.
+    fn decrement(&mut self, c: usize) {
+        self.hist[c] -= 1;
+        self.hist[c - 1] += 1;
+    }
+
+    /// Eq. 2's marginal sum: the `terms` largest marginals outside
+    /// `excluded` (distinct nodes, whose current marginals are in `count`).
+    /// Seeds sit in bucket 0 and add nothing. Excluded nodes are taken
+    /// out for the walk and put back after.
+    fn top_sum(&mut self, terms: usize, excluded: &[NodeId], count: &[usize]) -> usize {
+        for &v in excluded {
+            self.hist[count[v as usize]] -= 1;
+        }
+        while self.top > 0 && self.hist[self.top] == 0 {
+            self.top -= 1;
+        }
+        let (mut c, mut left, mut sum) = (self.top, terms, 0);
+        while c > 0 && left > 0 {
+            let take = self.hist[c].min(left);
+            sum += take * c;
+            left -= take;
+            c -= 1;
+        }
+        for &v in excluded {
+            self.hist[count[v as usize]] += 1;
+        }
+        sum
     }
 }
 
