@@ -196,6 +196,15 @@ impl GraphDelta {
         Ok(Some(op))
     }
 
+    /// Parses the one-op delta of a serving `delta <op>` line's op text;
+    /// a blank op is a parse error.
+    pub fn parse_op(op: &str) -> Result<Self, DeltaError> {
+        let op = Self::parse_line(op)?.ok_or(DeltaError::Parse {
+            message: "empty delta line".into(),
+        })?;
+        Ok(GraphDelta { ops: vec![op] })
+    }
+
     /// Parses a whole delta from the text format.
     pub fn parse(text: &str) -> Result<Self, DeltaError> {
         let mut delta = GraphDelta::new();

@@ -30,10 +30,12 @@
 //!   the *versioned* fingerprint, so stale pools are rejected with a
 //!   typed error. It is the model the concurrent, sharded serving index
 //!   (`subsim_serve::ShardedDeltaIndex`) is checked against.
-//! - [`serve_queries`] / [`ServeIndex`] — the line-oriented serving loop
-//!   shared by the CLI and the deterministic test simulator: interleaved
-//!   query and `delta` lines with per-line typed failures surfaced
-//!   through a [`ServeSink`].
+//! - [`Session`] — the per-connection serving protocol (reply order, the
+//!   `delta` barrier, deferral) as one sans-IO state machine, with
+//!   [`execute`] running its jobs against any [`ServeIndex`]. The line
+//!   transport [`serve_queries`] (CLI stdin and unframed `--socket`),
+//!   the framed server in `subsim-serve` and the test simulator all pump
+//!   it; per-line typed failures surface through a [`ServeSink`].
 
 #![warn(missing_docs)]
 
@@ -42,6 +44,7 @@ mod error;
 mod index;
 mod repair;
 mod serve;
+mod session;
 mod versioned;
 
 pub use delta::{DeltaOp, GraphDelta};
@@ -55,4 +58,5 @@ pub use serve::{
     parse_query, serve_queries, FrameViolation, LineError, NullSink, ServeError, ServeEvent,
     ServeIndex, ServeSink,
 };
+pub use session::{execute, seed_line, work, Done, Job, JobKind, Reply, Session, DEFERRED_CAP};
 pub use versioned::{VersionedGraph, DEFAULT_COMPACT_THRESHOLD};

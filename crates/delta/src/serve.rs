@@ -1,33 +1,20 @@
-//! The query-serving loop, factored out of the CLI so it can be driven
-//! (and fault-injected) in-process by tests and the deterministic
-//! simulator in `subsim-testkit`.
+//! The serving vocabulary and the line transport.
 //!
-//! A serving session reads lines from any `BufRead`:
+//! The types every transport shares live here: [`ServeIndex`] (what is
+//! served), [`ServeEvent`] and [`LineError`] (what happened, per line
+//! and typed) and [`ServeSink`] (who hears it: stderr logging in the
+//! CLI, structured assertions in tests). The protocol itself is
+//! [`crate::Session`]'s.
 //!
-//! - `k [epsilon] [@version]` — an IM query; `@version` pins it to an
-//!   exact graph version (delta-stream servers only) and fails with a
-//!   typed [`DeltaError::StaleVersion`] if the index has moved on.
-//! - `delta <op>` — one `+ u v p` / `- u v` / `~ u v p` graph mutation.
-//!   Delta lines are a **barrier**: the op applies only after every
-//!   earlier query line has answered, so a pin in an earlier line can
-//!   never go spuriously stale, and every later line sees the mutation.
-//!   This makes a serving session's outcome a pure function of its input
-//!   lines (given a deterministic index), which the simulator in
-//!   `subsim-testkit` relies on.
-//! - `shutdown` — ends the session and reports it to the caller.
-//!
-//! Every failure is **per line and typed** ([`LineError`]): a malformed
-//! query, a rejected delta op, a stale version pin, or a mid-stream read
-//! error produces a [`ServeEvent`] and the loop keeps serving subsequent
-//! lines. Seeds for successful queries go to `output` one line per query
-//! in **input order** (a reorder buffer holds early-finished answers);
-//! everything else is surfaced through the [`ServeSink`] so callers
-//! decide between stderr logging (the CLI) and structured assertions
-//! (tests).
+//! [`serve_queries`] is the line transport: a pump around one session
+//! that reads lines from any `BufRead` (stdin, or one unframed
+//! `--socket` client at a time) and writes one seed line per answered
+//! query, in input order. Everything else reaches the sink, also in
+//! input order; `tenant` lines are accepted and have no effect here.
 
 use crate::error::DeltaError;
 use crate::repair::RepairReport;
-use std::collections::BTreeMap;
+use crate::session::{seed_line, work, Done, Job, Reply, Session};
 use std::io::BufRead;
 use std::sync::{mpsc, Mutex};
 use subsim_index::{ConcurrentRrIndex, IndexError, QueryAnswer, QueryStats};
@@ -148,9 +135,8 @@ impl std::fmt::Display for LineError {
     }
 }
 
-/// One observable outcome of the serving loop, in the order outcomes
-/// happen (answers are emitted in input order; delta acks and line
-/// failures in read order).
+/// One observable outcome of serving: a session reports one per line,
+/// in input order.
 #[derive(Debug)]
 pub enum ServeEvent {
     /// A query answered; its seeds line was written to the output.
@@ -183,8 +169,8 @@ pub enum ServeEvent {
     },
 }
 
-/// Receives [`ServeEvent`]s from the serving loop. Events arrive from the
-/// reader and the collector thread, hence `Sync`.
+/// Receives [`ServeEvent`]s from serving. Events may arrive from more
+/// than one thread, hence `Sync`.
 pub trait ServeSink: Sync {
     /// Called once per event.
     fn event(&self, event: ServeEvent);
@@ -247,16 +233,6 @@ impl ServeIndex for ConcurrentRrIndex<'_> {
     }
 }
 
-/// One parsed query line, tagged with its position in the input so
-/// answers can be re-serialized in input order.
-struct Job {
-    id: u64,
-    line: String,
-    k: usize,
-    epsilon: f64,
-    pin: Option<u64>,
-}
-
 /// Parses a query line `k [epsilon] [@version]` into
 /// `(k, epsilon, pin)`; `epsilon` defaults to `0.1`. Tokens may appear
 /// in any order except that `k` precedes `epsilon`. Public so external
@@ -289,7 +265,8 @@ pub fn parse_query(line: &str) -> Result<(usize, f64, Option<u64>), String> {
 /// line), fanning queries out over `workers` threads that query `index`
 /// concurrently. See the module docs for the line grammar and error
 /// contract. Returns whether a `shutdown` line was seen; `Err` only for
-/// failures writing `output` (per-line problems go to `sink` instead).
+/// failures writing `output` (per-line problems go to `sink` instead),
+/// returned once reading has stopped and every dispatched job finished.
 pub fn serve_queries<I, R, W, S>(
     index: &I,
     delta: f64,
@@ -304,137 +281,94 @@ where
     W: std::io::Write + Send,
     S: ServeSink + ?Sized,
 {
-    let (job_tx, job_rx) = mpsc::channel::<Job>();
+    let (msg_tx, msg_rx) = mpsc::channel::<Msg>();
+    let (job_tx, job_rx) = mpsc::channel::<((), Job)>();
     let job_rx = Mutex::new(job_rx);
-    let (ans_tx, ans_rx) = mpsc::channel::<(Job, Result<QueryAnswer, ServeError>)>();
-    // Queries completed by the collector, for the delta-line barrier.
-    let done = (Mutex::new(0u64), std::sync::Condvar::new());
+    // After each line: whether the reader may read on.
+    let (go_tx, go_rx) = mpsc::channel::<bool>();
 
     std::thread::scope(|scope| {
         for _ in 0..workers.max(1) {
-            let ans_tx = ans_tx.clone();
-            let job_rx = &job_rx;
-            scope.spawn(move || loop {
-                // Hold the receiver lock only to pull one job; the query
-                // itself runs unlocked so workers overlap.
-                let job = match job_rx.lock().expect("job queue poisoned").recv() {
-                    Ok(job) => job,
-                    Err(_) => break,
-                };
-                let result = index.run_query(job.k, job.epsilon, delta, job.pin);
-                if ans_tx.send((job, result)).is_err() {
-                    break;
-                }
+            let (msg_tx, job_rx) = (msg_tx.clone(), &job_rx);
+            scope.spawn(move || {
+                work(index, delta, job_rx, |(), done| {
+                    msg_tx.send(Msg::Done(done)).is_ok()
+                })
             });
         }
-        drop(ans_tx); // the collector below must see EOF once workers finish
-
-        let collector = scope.spawn({
-            let output = &mut output;
-            let done = &done;
-            move || -> Result<(), String> {
-                // Reorder buffer: answers surface in completion order but
-                // must leave in input order.
-                let mut pending: BTreeMap<u64, (Job, Result<QueryAnswer, ServeError>)> =
-                    BTreeMap::new();
-                let mut next_id = 0u64;
-                for (job, result) in ans_rx {
-                    pending.insert(job.id, (job, result));
-                    while let Some((job, result)) = pending.remove(&next_id) {
-                        next_id += 1;
-                        match result {
-                            Ok(ans) => {
-                                let seeds: Vec<String> =
-                                    ans.seeds.iter().map(|s| s.to_string()).collect();
-                                writeln!(output, "{}", seeds.join(" "))
-                                    .map_err(|e| e.to_string())?;
-                                output.flush().map_err(|e| e.to_string())?;
-                                sink.event(ServeEvent::Answered {
-                                    line: job.line,
-                                    stats: Box::new(ans.stats),
-                                });
-                            }
-                            Err(e) => sink.event(ServeEvent::LineFailed {
-                                line: job.line,
-                                error: LineError::Rejected(e),
-                            }),
-                        }
-                        *done.0.lock().expect("done counter poisoned") = next_id;
-                        done.1.notify_all();
+        // The pump owns the session and the output. It never waits on
+        // the writer: a write error closes the session and stops the
+        // reader, and the pump returns once the reader has stopped and
+        // every dispatched job has completed.
+        let pump = scope.spawn(move || {
+            let mut session = Session::default();
+            let (mut reading, mut reader_waits) = (true, false);
+            let mut failed: Option<String> = None;
+            while reading || !session.idle() {
+                // Workers keep their senders until `job_tx` drops here.
+                match msg_rx.recv().expect("workers outlive the pump") {
+                    Msg::Line(line) => {
+                        session.line(&line);
+                        reader_waits = true;
                     }
+                    Msg::Eof => reading = false,
+                    Msg::Done(done) => session.complete(done),
                 }
-                Ok(())
+                while let Some(job) = session.next_job() {
+                    job_tx.send(((), job)).expect("workers outlive the pump");
+                }
+                while let Some(reply) = session.next_reply() {
+                    if failed.is_some() {
+                        continue;
+                    }
+                    if let Reply::Query {
+                        result: Ok(ans), ..
+                    } = &reply
+                    {
+                        let line = format!("{}\n", seed_line(ans));
+                        let written = output.write_all(line.as_bytes());
+                        if let Err(e) = written.and_then(|()| output.flush()) {
+                            failed = Some(e.to_string());
+                            session.close();
+                            continue;
+                        }
+                    }
+                    reply.report(sink);
+                }
+                let stop = failed.is_some() || session.shut_down();
+                if reader_waits && (stop || !session.gated()) {
+                    let _ = go_tx.send(!stop);
+                    reader_waits = false;
+                }
             }
+            failed.map_or(Ok(session.shut_down()), Err)
         });
 
-        let mut shutdown = false;
-        let mut id = 0u64;
+        // `R` need not be `Send`, so this thread reads.
         for line in input.lines() {
-            let line = match line {
-                Ok(line) => line,
+            match line {
+                Ok(line) => {
+                    if msg_tx.send(Msg::Line(line)).is_err() || go_rx.recv() != Ok(true) {
+                        break;
+                    }
+                }
                 Err(e) => {
-                    sink.event(ServeEvent::InputError {
-                        message: e.to_string(),
-                    });
+                    let message = e.to_string();
+                    sink.event(ServeEvent::InputError { message });
                     break;
                 }
-            };
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            if line == "shutdown" {
-                shutdown = true;
-                break;
-            }
-            if let Some(rest) = line.strip_prefix("delta ") {
-                // Barrier: wait for every earlier query to answer, so
-                // earlier pins never race the mutation and later lines
-                // deterministically see it.
-                let mut answered = done.0.lock().expect("done counter poisoned");
-                while *answered < id {
-                    answered = done.1.wait(answered).expect("done counter poisoned");
-                }
-                drop(answered);
-                let op = rest.trim();
-                match index.apply_delta_line(op) {
-                    Ok(report) => sink.event(ServeEvent::DeltaApplied {
-                        op: op.to_string(),
-                        report: Box::new(report),
-                    }),
-                    Err(e) => sink.event(ServeEvent::LineFailed {
-                        line: line.to_string(),
-                        error: LineError::Rejected(e),
-                    }),
-                }
-                continue;
-            }
-            let (k, epsilon, pin) = match parse_query(line) {
-                Ok(parts) => parts,
-                Err(reason) => {
-                    sink.event(ServeEvent::LineFailed {
-                        line: line.to_string(),
-                        error: LineError::Malformed { reason },
-                    });
-                    continue;
-                }
-            };
-            let job = Job {
-                id,
-                line: line.to_string(),
-                k,
-                epsilon,
-                pin,
-            };
-            id += 1;
-            if job_tx.send(job).is_err() {
-                break; // all workers gone (collector error below reports why)
             }
         }
-        drop(job_tx); // workers drain the queue, then ans_rx sees EOF
-        collector.join().expect("collector panicked")?;
-        Ok(shutdown)
+        let _ = msg_tx.send(Msg::Eof);
+        pump.join().expect("serving pump panicked")
     })
+}
+
+/// What the line pump hears: from the reader or from a worker.
+enum Msg {
+    Line(String),
+    Eof,
+    Done(Done),
 }
 
 #[cfg(test)]
@@ -667,5 +601,59 @@ mod tests {
         );
         // The index is still fully queryable after the failed session.
         assert!(index.run_query(2, 0.2, 0.05, None).is_ok());
+    }
+
+    #[test]
+    fn failing_writer_ends_the_session_with_err_instead_of_hanging() {
+        struct FailingWrite;
+        impl std::io::Write for FailingWrite {
+            fn write(&mut self, _buf: &[u8]) -> std::io::Result<usize> {
+                Err(std::io::Error::new(
+                    std::io::ErrorKind::BrokenPipe,
+                    "injected write failure",
+                ))
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        // A delta line waits behind a query whose answer cannot be
+        // written: the session must still end, with the write error.
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let index = delta_index();
+            let input = "2 0.2\ndelta + 0 1 0.5\n2 0.2\n";
+            let result = serve_queries(&index, 0.05, 2, input.as_bytes(), FailingWrite, &NullSink);
+            let _ = tx.send(result);
+        });
+        let result = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("serve_queries hung on a failed writer");
+        let err = result.expect_err("a failed write is an error");
+        assert!(err.contains("injected write failure"), "{err}");
+    }
+
+    #[test]
+    fn tenant_lines_are_accepted_and_write_nothing() {
+        let index = delta_index();
+        let input = "tenant acme\n2 0.2\ntenant \n";
+        let mut out = Vec::new();
+        let rec = Recorder::default();
+        serve_queries(&index, 0.05, 1, input.as_bytes(), &mut out, &rec).unwrap();
+        assert_eq!(lines(&out).len(), 1, "only the query writes a line");
+        let events = rec.0.into_inner().unwrap();
+        assert!(
+            matches!(
+                &events[..],
+                [
+                    ServeEvent::Answered { .. },
+                    ServeEvent::LineFailed {
+                        error: LineError::Malformed { .. },
+                        ..
+                    }
+                ]
+            ),
+            "{events:?}"
+        );
     }
 }

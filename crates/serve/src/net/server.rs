@@ -1,67 +1,47 @@
 //! The multi-connection framed server.
 //!
 //! A single reactor thread owns every socket: it accepts connections,
-//! decodes length-framed protocol lines ([`crate::net::frame`]), admits
-//! them in per-connection arrival order, and fans query work out to a
-//! small pool of worker threads that hit the shared [`ServeIndex`]
-//! concurrently. Readiness comes from the no-dependency poller in
-//! [`crate::net::sys`] (epoll on Linux, `poll(2)` elsewhere); workers
-//! wake the reactor through a nonblocking socketpair.
+//! decodes length-framed lines ([`crate::net::frame`]), and pumps each
+//! connection's frames, framing faults included, through its own
+//! [`Session`] — the protocol every transport shares — writing one reply
+//! frame per [`Reply`]. Jobs go to a small pool of worker threads that
+//! run them against the shared [`ServeIndex`]. Readiness comes from the
+//! no-dependency poller in [`crate::net::sys`] (epoll on Linux, `poll(2)`
+//! elsewhere); workers wake the reactor through a nonblocking socketpair.
+//! Across connections, deltas serialize through the index's writer lock
+//! and each version bump fences all shards at one atomic snapshot swap.
+//! A `tenant` reply moves the connection's later replies to that
+//! tenant's counters; a `shutdown` reply drains the server.
 //!
-//! # Protocol
-//!
-//! Each frame payload is one line of the [`subsim_delta::serve_queries`]
-//! grammar (`k [epsilon] [@version]`, `delta <op>`, `shutdown`), plus a
-//! frame-only extension `tenant <name>` that tags the connection for
-//! per-tenant metrics. Every admitted frame — except blank and `#`
-//! comment lines, which are skipped exactly like the line server skips
-//! them — produces **exactly one reply frame, in admission order**:
-//!
-//! - query → the seed line (`"s1 s2 …"`, the byte-identical rendering the
-//!   line server writes), or `err <reason>` on a typed failure;
-//! - `delta <op>` → `ok delta v<version>` or `err <reason>`;
-//! - `tenant <name>` → `ok tenant <name>`;
-//! - `shutdown` → `ok shutdown`, then the server drains and exits;
-//! - a frame that violates the transport (oversized declaration,
-//!   non-UTF-8 payload) → `err <violation>` — the connection keeps
-//!   serving, mirroring the per-line error contract of the line server.
-//!
-//! # Ordering and the delta barrier
-//!
-//! Queries from one connection run concurrently, but replies are
-//! re-sequenced through a per-connection reorder buffer, so each client
-//! observes answers in the order it asked. A `delta` frame is a
-//! **barrier** for its connection: it waits for every earlier admitted
-//! query to answer, runs alone, and blocks later frames (they queue in a
-//! bounded deferred list) until the repaired snapshot publishes — so a
-//! connection's replies are a pure function of its own frame sequence
-//! whenever no other connection mutates the graph. Across connections,
-//! deltas serialize through the index's writer lock and each version
-//! bump fences all shards at one atomic snapshot swap.
-//!
-//! # Backpressure
-//!
-//! Outbound bytes queue in a bounded per-connection buffer. When a
-//! client stops reading and the buffer crosses the high-water mark, the
-//! reactor drops *read* interest for that connection — the client can no
-//! longer pump queries into the server faster than it drains answers —
-//! and resumes reading once the buffer falls below the low-water mark.
-//! The deferred list behind a delta barrier is capped the same way.
+//! Backpressure: outbound bytes queue per connection. When a client
+//! stops reading and its queue crosses `WRITE_HIGH_WATER` (256 KiB), the reactor
+//! stops reading that connection until the queue falls below
+//! `WRITE_LOW_WATER` (32 KiB), so a client cannot pump queries faster than it
+//! drains answers. Reads also stop while the session is
+//! [`Session::gated`]; only the frames of the read that filled the
+//! deferred queue can overshoot its cap.
 
 use crate::net::frame::{encode_frame, FrameDecoder, FrameItem, HEADER_LEN};
 use crate::net::sys::{
     Interest, PollEvent, Poller, TOKEN_CONN_BASE, TOKEN_LISTENER_BASE, TOKEN_WAKE,
 };
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use subsim_delta::{parse_query, FrameViolation, LineError, ServeEvent, ServeIndex, ServeSink};
+use subsim_delta::{work, Done, Job, Reply, ServeEvent, ServeIndex, ServeSink, Session};
 use subsim_index::{TenantCounters, TenantMetrics};
+
+/// Stop reading a connection when its outbound buffer exceeds this.
+const WRITE_HIGH_WATER: usize = 256 << 10;
+/// Resume reading once the outbound buffer falls below this.
+const WRITE_LOW_WATER: usize = 32 << 10;
+/// Tenant connections report under before any `tenant` frame.
+const DEFAULT_TENANT: &str = "default";
 
 /// Tuning for [`serve_framed`].
 #[derive(Debug, Clone)]
@@ -73,15 +53,6 @@ pub struct ServerConfig {
     pub delta: f64,
     /// Maximum accepted frame payload, bytes.
     pub max_frame: usize,
-    /// Stop reading a connection when its outbound buffer exceeds this.
-    pub write_high_water: usize,
-    /// Resume reading once the outbound buffer falls below this.
-    pub write_low_water: usize,
-    /// Maximum frames queued behind a connection's delta barrier before
-    /// its reads are gated.
-    pub deferred_cap: usize,
-    /// Tenant connections report under before any `tenant` frame.
-    pub default_tenant: String,
 }
 
 impl Default for ServerConfig {
@@ -90,10 +61,6 @@ impl Default for ServerConfig {
             workers: 2,
             delta: 0.01,
             max_frame: 64 << 10,
-            write_high_water: 256 << 10,
-            write_low_water: 32 << 10,
-            deferred_cap: 1024,
-            default_tenant: "default".into(),
         }
     }
 }
@@ -200,114 +167,40 @@ impl Listener {
         }
     }
 
-    fn accept(&self) -> io::Result<Option<Stream>> {
-        match self {
-            Listener::Unix(l) => match l.accept() {
-                Ok((s, _)) => Ok(Some(Stream::Unix(s))),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-                Err(e) => Err(e),
-            },
-            Listener::Tcp(l) => match l.accept() {
-                Ok((s, _)) => Ok(Some(Stream::Tcp(s))),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-                Err(e) => Err(e),
-            },
+    /// Accepts one pending connection, set nonblocking.
+    fn accept(&self) -> io::Result<Option<Box<dyn Stream>>> {
+        let accepted = match self {
+            Listener::Unix(l) => l.accept().and_then(|(s, _)| {
+                s.set_nonblocking(true)?;
+                Ok(Box::new(s) as Box<dyn Stream>)
+            }),
+            Listener::Tcp(l) => l.accept().and_then(|(s, _)| {
+                s.set_nonblocking(true)?;
+                Ok(Box::new(s) as Box<dyn Stream>)
+            }),
+        };
+        match accepted {
+            Ok(stream) => Ok(Some(stream)),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
+            Err(e) => Err(e),
         }
     }
 }
 
-#[derive(Debug)]
-enum Stream {
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
+/// An accepted connection, unix or TCP.
+trait Stream: Read + Write + AsRawFd {}
 
-impl Stream {
-    fn set_nonblocking(&self) -> io::Result<()> {
-        match self {
-            Stream::Unix(s) => s.set_nonblocking(true),
-            Stream::Tcp(s) => s.set_nonblocking(true),
-        }
-    }
-
-    fn raw_fd(&self) -> RawFd {
-        match self {
-            Stream::Unix(s) => s.as_raw_fd(),
-            Stream::Tcp(s) => s.as_raw_fd(),
-        }
-    }
-
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Stream::Unix(s) => s.read(buf),
-            Stream::Tcp(s) => s.read(buf),
-        }
-    }
-
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Stream::Unix(s) => s.write(buf),
-            Stream::Tcp(s) => s.write(buf),
-        }
-    }
-}
-
-enum JobKind {
-    Query {
-        line: String,
-        k: usize,
-        epsilon: f64,
-        pin: Option<u64>,
-    },
-    Delta {
-        op: String,
-    },
-}
-
-struct Job {
-    conn: u64,
-    seq: u64,
-    kind: JobKind,
-}
-
-enum DoneKind {
-    Answered,
-    Failed,
-    DeltaApplied,
-}
-
-struct Done {
-    conn: u64,
-    seq: u64,
-    kind: DoneKind,
-    payload: String,
-}
+impl<T: Read + Write + AsRawFd> Stream for T {}
 
 struct Conn {
     token: u64,
-    stream: Stream,
+    stream: Box<dyn Stream>,
     decoder: FrameDecoder,
     interest: Interest,
     /// Outbound bytes; `write_pos` is the flushed prefix.
     write_buf: Vec<u8>,
     write_pos: usize,
-    /// Next sequence number handed to an admitted frame.
-    next_seq: u64,
-    /// Next sequence to serialize into `write_buf`.
-    flush_seq: u64,
-    /// Completed replies waiting for earlier sequences (reorder buffer).
-    completed: BTreeMap<u64, String>,
-    /// Admitted queries not yet answered.
-    inflight: usize,
-    /// A delta admitted but not yet applied fences this connection.
-    barrier: bool,
-    /// Sequence of the dispatched barrier delta, to tell its completion
-    /// apart from query completions.
-    barrier_seq: Option<u64>,
-    /// A delta waiting for `inflight` to reach zero before dispatch.
-    pending_delta: Option<(u64, String)>,
-    /// Frames decoded behind an active barrier, in arrival order.
-    deferred: VecDeque<String>,
+    session: Session,
     tenant: Arc<TenantCounters>,
     read_eof: bool,
     dead: bool,
@@ -316,20 +209,6 @@ struct Conn {
 impl Conn {
     fn write_pending(&self) -> usize {
         self.write_buf.len() - self.write_pos
-    }
-
-    /// Inserts a finished reply and serializes every now-consecutive one.
-    fn complete(&mut self, seq: u64, payload: String, report: &mut ServerReport) {
-        self.completed.insert(seq, payload);
-        while let Some(payload) = self.completed.remove(&self.flush_seq) {
-            let before = self.write_buf.len();
-            encode_frame(&payload, &mut self.write_buf);
-            self.tenant
-                .bytes_out
-                .fetch_add((self.write_buf.len() - before) as u64, Ordering::Relaxed);
-            report.replies += 1;
-            self.flush_seq += 1;
-        }
     }
 
     fn try_write(&mut self) {
@@ -358,19 +237,16 @@ impl Conn {
     }
 
     fn idle(&self) -> bool {
-        self.inflight == 0
-            && !self.barrier
-            && self.pending_delta.is_none()
-            && (self.dead || self.write_pending() == 0)
+        self.session.idle() && (self.dead || self.write_pending() == 0)
     }
 
     fn should_close(&self) -> bool {
-        self.dead || (self.read_eof && self.idle() && self.deferred.is_empty())
+        self.dead || (self.read_eof && self.idle())
     }
 }
 
 struct Env<'a, S: ?Sized> {
-    job_tx: mpsc::Sender<Job>,
+    job_tx: mpsc::Sender<(u64, Job)>,
     tenants: &'a TenantMetrics,
     sink: &'a S,
     config: &'a ServerConfig,
@@ -392,8 +268,8 @@ where
     I: ServeIndex,
     S: ServeSink + ?Sized,
 {
-    let (job_tx, job_rx) = mpsc::channel::<Job>();
-    let (done_tx, done_rx) = mpsc::channel::<Done>();
+    let (job_tx, job_rx) = mpsc::channel::<(u64, Job)>();
+    let (done_tx, done_rx) = mpsc::channel::<(u64, Done)>();
     let job_rx = Mutex::new(job_rx);
     let (wake_tx, wake_rx) = UnixStream::pair()?;
     wake_tx.set_nonblocking(true)?;
@@ -414,8 +290,14 @@ where
         for _ in 0..config.workers.max(1) {
             let done_tx = done_tx.clone();
             let job_rx = &job_rx;
-            let wake = &wake_tx;
-            scope.spawn(move || worker_loop(index, config.delta, job_rx, done_tx, wake, sink));
+            let mut wake = &wake_tx;
+            scope.spawn(move || {
+                work(index, config.delta, job_rx, |conn, done| {
+                    let sent = done_tx.send((conn, done)).is_ok();
+                    let _ = wake.write(&[1u8]);
+                    sent
+                })
+            });
         }
         drop(done_tx);
         let env = Env {
@@ -434,7 +316,7 @@ fn reactor_loop<S: ServeSink + ?Sized>(
     poller: &mut Poller,
     listeners: &[Listener],
     wake_rx: &UnixStream,
-    done_rx: &mpsc::Receiver<Done>,
+    done_rx: &mpsc::Receiver<(u64, Done)>,
     env: Env<'_, S>,
 ) -> io::Result<ServerReport> {
     let mut conns: HashMap<u64, Conn> = HashMap::new();
@@ -450,12 +332,12 @@ fn reactor_loop<S: ServeSink + ?Sized>(
         for ev in batch {
             if ev.token == TOKEN_WAKE {
                 drain_wake(wake_rx);
-                while let Ok(done) = done_rx.try_recv() {
-                    let token = done.conn;
+                while let Ok((token, done)) = done_rx.try_recv() {
                     if let Some(conn) = conns.get_mut(&token) {
-                        handle_done(conn, done, &env, &mut draining, &mut report);
+                        conn.session.complete(done);
+                        pump(conn, &env, &mut draining, &mut report);
                     }
-                    sync_conn(poller, &mut conns, token, &env, draining);
+                    sync_conn(poller, &mut conns, token, draining);
                 }
             } else if ev.token < TOKEN_CONN_BASE {
                 let listener = &listeners[(ev.token - TOKEN_LISTENER_BASE) as usize];
@@ -463,10 +345,9 @@ fn reactor_loop<S: ServeSink + ?Sized>(
                     continue;
                 }
                 while let Some(stream) = listener.accept()? {
-                    stream.set_nonblocking()?;
                     let token = next_conn;
                     next_conn += 1;
-                    poller.register(stream.raw_fd(), token, Interest::READ)?;
+                    poller.register(stream.as_raw_fd(), token, Interest::READ)?;
                     conns.insert(
                         token,
                         Conn {
@@ -476,15 +357,8 @@ fn reactor_loop<S: ServeSink + ?Sized>(
                             interest: Interest::READ,
                             write_buf: Vec::new(),
                             write_pos: 0,
-                            next_seq: 0,
-                            flush_seq: 0,
-                            completed: BTreeMap::new(),
-                            inflight: 0,
-                            barrier: false,
-                            barrier_seq: None,
-                            pending_delta: None,
-                            deferred: VecDeque::new(),
-                            tenant: env.tenants.tenant(&env.config.default_tenant),
+                            session: Session::default(),
+                            tenant: env.tenants.tenant(DEFAULT_TENANT),
                             read_eof: false,
                             dead: false,
                         },
@@ -492,13 +366,14 @@ fn reactor_loop<S: ServeSink + ?Sized>(
                     report.connections += 1;
                 }
             } else if let Some(conn) = conns.get_mut(&ev.token) {
-                if ev.readable && conn.interest.readable {
-                    handle_readable(conn, &env, &mut draining, &mut report);
+                if ev.readable && conn.interest.readable && !draining {
+                    handle_readable(conn, &env, &mut report);
+                    pump(conn, &env, &mut draining, &mut report);
                 }
                 if ev.writable {
                     conn.try_write();
                 }
-                sync_conn(poller, &mut conns, ev.token, &env, draining);
+                sync_conn(poller, &mut conns, ev.token, draining);
             }
         }
         if draining && listeners_live {
@@ -509,7 +384,10 @@ fn reactor_loop<S: ServeSink + ?Sized>(
             listeners_live = false;
             let tokens: Vec<u64> = conns.keys().copied().collect();
             for token in tokens {
-                sync_conn(poller, &mut conns, token, &env, draining);
+                if let Some(conn) = conns.get_mut(&token) {
+                    conn.session.close();
+                }
+                sync_conn(poller, &mut conns, token, draining);
             }
         }
         if draining && conns.values().all(Conn::idle) {
@@ -532,11 +410,12 @@ fn drain_wake(wake_rx: &UnixStream) {
     }
 }
 
-/// Reads everything available, decodes it, and admits each decoded item.
+/// Reads what is available and feeds each decoded frame, in arrival
+/// order, to the connection's session; stops early once the session is
+/// gated.
 fn handle_readable<S: ServeSink + ?Sized>(
     conn: &mut Conn,
     env: &Env<'_, S>,
-    draining: &mut bool,
     report: &mut ServerReport,
 ) {
     let mut items: Vec<FrameItem> = Vec::new();
@@ -545,10 +424,7 @@ fn handle_readable<S: ServeSink + ?Sized>(
         match conn.stream.read(&mut buf) {
             Ok(0) => {
                 conn.read_eof = true;
-                if let Some(violation) = conn.decoder.on_eof() {
-                    reject_frame(conn, violation, env, report);
-                }
-                break;
+                items.extend(conn.decoder.on_eof().map(FrameItem::Violation));
             }
             Ok(n) => conn.decoder.push(&buf[..n], &mut items),
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -558,181 +434,65 @@ fn handle_readable<S: ServeSink + ?Sized>(
                     message: e.to_string(),
                 });
                 conn.dead = true;
-                break;
             }
         }
-    }
-    for item in items {
-        report.frames += 1;
-        match item {
-            FrameItem::Line(line) => admit_line(conn, line, env, draining, report),
-            FrameItem::Violation(violation) => reject_frame(conn, violation, env, report),
+        report.frames += items.len() as u64;
+        for item in items.drain(..) {
+            match item {
+                FrameItem::Line(line) => conn.session.line(&line),
+                FrameItem::Violation(violation) => conn.session.violation(violation),
+            }
         }
-    }
-}
-
-/// Replies `err <violation>` in sequence and reports the typed failure.
-fn reject_frame<S: ServeSink + ?Sized>(
-    conn: &mut Conn,
-    violation: FrameViolation,
-    env: &Env<'_, S>,
-    report: &mut ServerReport,
-) {
-    let error = LineError::Frame(violation);
-    let payload = format!("err {error}");
-    env.sink.event(ServeEvent::LineFailed {
-        line: String::new(),
-        error,
-    });
-    conn.tenant.failed.fetch_add(1, Ordering::Relaxed);
-    let seq = conn.next_seq;
-    conn.next_seq += 1;
-    conn.complete(seq, payload, report);
-}
-
-/// Admits one decoded line, deferring it behind an active delta barrier.
-fn admit_line<S: ServeSink + ?Sized>(
-    conn: &mut Conn,
-    line: String,
-    env: &Env<'_, S>,
-    draining: &mut bool,
-    report: &mut ServerReport,
-) {
-    let trimmed = line.trim();
-    if trimmed.is_empty() || trimmed.starts_with('#') || *draining {
-        return;
-    }
-    if conn.barrier || !conn.deferred.is_empty() {
-        conn.deferred.push_back(line);
-        return;
-    }
-    admit_direct(conn, trimmed.to_owned(), env, draining, report);
-}
-
-/// Admission proper: assigns the reply sequence and routes the line.
-fn admit_direct<S: ServeSink + ?Sized>(
-    conn: &mut Conn,
-    line: String,
-    env: &Env<'_, S>,
-    draining: &mut bool,
-    report: &mut ServerReport,
-) {
-    let seq = conn.next_seq;
-    conn.next_seq += 1;
-    if line == "shutdown" {
-        conn.complete(seq, "ok shutdown".into(), report);
-        *draining = true;
-        return;
-    }
-    if let Some(name) = line.strip_prefix("tenant ") {
-        let name = name.trim();
-        if name.is_empty() {
-            let error = LineError::Malformed {
-                reason: "empty tenant name".into(),
-            };
-            let payload = format!("err {error}");
-            env.sink.event(ServeEvent::LineFailed { line, error });
-            conn.tenant.failed.fetch_add(1, Ordering::Relaxed);
-            conn.complete(seq, payload, report);
-            return;
-        }
-        conn.tenant = env.tenants.tenant(name);
-        conn.complete(seq, format!("ok tenant {name}"), report);
-        return;
-    }
-    if let Some(op) = line.strip_prefix("delta ") {
-        conn.barrier = true;
-        if conn.inflight == 0 {
-            conn.barrier_seq = Some(seq);
-            let _ = env.job_tx.send(Job {
-                conn: conn.token,
-                seq,
-                kind: JobKind::Delta { op: op.to_owned() },
-            });
-        } else {
-            conn.pending_delta = Some((seq, op.to_owned()));
-        }
-        return;
-    }
-    match parse_query(&line) {
-        Ok((k, epsilon, pin)) => {
-            conn.inflight += 1;
-            conn.tenant.queries.fetch_add(1, Ordering::Relaxed);
-            let _ = env.job_tx.send(Job {
-                conn: conn.token,
-                seq,
-                kind: JobKind::Query {
-                    line,
-                    k,
-                    epsilon,
-                    pin,
-                },
-            });
-        }
-        Err(reason) => {
-            let error = LineError::Malformed { reason };
-            let payload = format!("err {error}");
-            env.sink.event(ServeEvent::LineFailed { line, error });
-            conn.tenant.failed.fetch_add(1, Ordering::Relaxed);
-            conn.complete(seq, payload, report);
-        }
-    }
-}
-
-/// Routes one worker completion: settles barrier/inflight accounting,
-/// sequences the reply, dispatches a waiting delta, and drains the
-/// deferred queue if the barrier lifted.
-fn handle_done<S: ServeSink + ?Sized>(
-    conn: &mut Conn,
-    done: Done,
-    env: &Env<'_, S>,
-    draining: &mut bool,
-    report: &mut ServerReport,
-) {
-    if conn.barrier_seq == Some(done.seq) {
-        conn.barrier = false;
-        conn.barrier_seq = None;
-    } else {
-        conn.inflight -= 1;
-    }
-    let counter = match done.kind {
-        DoneKind::Answered => &conn.tenant.answered,
-        DoneKind::Failed => &conn.tenant.failed,
-        DoneKind::DeltaApplied => &conn.tenant.deltas,
-    };
-    counter.fetch_add(1, Ordering::Relaxed);
-    conn.complete(done.seq, done.payload, report);
-    if conn.inflight == 0 {
-        if let Some((seq, op)) = conn.pending_delta.take() {
-            conn.barrier_seq = Some(seq);
-            let _ = env.job_tx.send(Job {
-                conn: conn.token,
-                seq,
-                kind: JobKind::Delta { op },
-            });
-        }
-    }
-    while !conn.barrier {
-        let Some(line) = conn.deferred.pop_front() else {
+        if conn.read_eof || conn.dead || conn.session.gated() {
             break;
-        };
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') || *draining {
-            continue;
         }
-        admit_direct(conn, trimmed.to_owned(), env, draining, report);
+    }
+}
+
+/// Dispatches the session's jobs and writes its replies, one frame
+/// each, counting them toward the connection's tenant.
+fn pump<S: ServeSink + ?Sized>(
+    conn: &mut Conn,
+    env: &Env<'_, S>,
+    draining: &mut bool,
+    report: &mut ServerReport,
+) {
+    while let Some(job) = conn.session.next_job() {
+        let _ = env.job_tx.send((conn.token, job));
+    }
+    *draining |= conn.session.shut_down();
+    while let Some(reply) = conn.session.next_reply() {
+        let t = &conn.tenant;
+        let bump = |counter: &AtomicU64| {
+            counter.fetch_add(1, Ordering::Relaxed);
+        };
+        match &reply {
+            Reply::Query { result, .. } => {
+                bump(&t.queries);
+                bump(if result.is_ok() {
+                    &t.answered
+                } else {
+                    &t.failed
+                });
+            }
+            Reply::Delta { result, .. } => bump(if result.is_ok() { &t.deltas } else { &t.failed }),
+            Reply::Failed { .. } => bump(&t.failed),
+            Reply::Tenant(name) => conn.tenant = env.tenants.tenant(name),
+            Reply::Shutdown => {}
+        }
+        let before = conn.write_buf.len();
+        encode_frame(&reply.payload(), &mut conn.write_buf);
+        conn.tenant
+            .bytes_out
+            .fetch_add((conn.write_buf.len() - before) as u64, Ordering::Relaxed);
+        report.replies += 1;
+        reply.report(env.sink);
     }
 }
 
 /// Flushes, recomputes poll interest, and closes the connection when it
 /// has nothing left to do.
-fn sync_conn<S: ServeSink + ?Sized>(
-    poller: &mut Poller,
-    conns: &mut HashMap<u64, Conn>,
-    token: u64,
-    env: &Env<'_, S>,
-    draining: bool,
-) {
+fn sync_conn(poller: &mut Poller, conns: &mut HashMap<u64, Conn>, token: u64, draining: bool) {
     let Some(conn) = conns.get_mut(&token) else {
         return;
     };
@@ -740,132 +500,35 @@ fn sync_conn<S: ServeSink + ?Sized>(
         conn.try_write();
     }
     if conn.should_close() {
-        let _ = poller.deregister(conn.stream.raw_fd());
+        let _ = poller.deregister(conn.stream.as_raw_fd());
         conns.remove(&token);
         return;
     }
+    // Hysteresis: a connection that tripped the high-water mark must
+    // drain below the low-water mark before reads resume.
+    let resume = if conn.interest.readable {
+        WRITE_HIGH_WATER
+    } else {
+        WRITE_LOW_WATER
+    };
     let want = Interest {
         readable: !draining
             && !conn.read_eof
             && !conn.dead
-            && conn.write_pending() < backpressure_resume(conn, env.config)
-            && conn.deferred.len() < env.config.deferred_cap,
+            && conn.write_pending() < resume.max(HEADER_LEN)
+            && !conn.session.gated(),
         writable: conn.write_pending() > 0,
     };
     if want != conn.interest {
         if poller
-            .reregister(conn.stream.raw_fd(), token, want)
+            .reregister(conn.stream.as_raw_fd(), token, want)
             .is_err()
         {
             conn.dead = true;
-            let _ = poller.deregister(conn.stream.raw_fd());
+            let _ = poller.deregister(conn.stream.as_raw_fd());
             conns.remove(&token);
             return;
         }
         conn.interest = want;
-    }
-}
-
-/// Hysteresis: a connection that tripped the high-water mark must drain
-/// below the low-water mark before reads resume.
-fn backpressure_resume(conn: &Conn, config: &ServerConfig) -> usize {
-    if conn.interest.readable {
-        config.write_high_water.max(HEADER_LEN)
-    } else {
-        config.write_low_water.max(HEADER_LEN)
-    }
-}
-
-fn worker_loop<I, S>(
-    index: &I,
-    delta: f64,
-    jobs: &Mutex<mpsc::Receiver<Job>>,
-    done_tx: mpsc::Sender<Done>,
-    wake: &UnixStream,
-    sink: &S,
-) where
-    I: ServeIndex,
-    S: ServeSink + ?Sized,
-{
-    loop {
-        let job = match jobs.lock().unwrap().recv() {
-            Ok(job) => job,
-            Err(_) => break,
-        };
-        let done = match job.kind {
-            JobKind::Query {
-                line,
-                k,
-                epsilon,
-                pin,
-            } => match index.run_query(k, epsilon, delta, pin) {
-                Ok(answer) => {
-                    let payload = answer
-                        .seeds
-                        .iter()
-                        .map(|s| s.to_string())
-                        .collect::<Vec<_>>()
-                        .join(" ");
-                    sink.event(ServeEvent::Answered {
-                        line,
-                        stats: Box::new(answer.stats),
-                    });
-                    Done {
-                        conn: job.conn,
-                        seq: job.seq,
-                        kind: DoneKind::Answered,
-                        payload,
-                    }
-                }
-                Err(e) => {
-                    let error = LineError::Rejected(e);
-                    let payload = format!("err {error}");
-                    sink.event(ServeEvent::LineFailed { line, error });
-                    Done {
-                        conn: job.conn,
-                        seq: job.seq,
-                        kind: DoneKind::Failed,
-                        payload,
-                    }
-                }
-            },
-            JobKind::Delta { op } => match index.apply_delta_line(&op) {
-                Ok(rep) => {
-                    let payload = match index.version() {
-                        Some(v) => format!("ok delta v{v}"),
-                        None => "ok delta".into(),
-                    };
-                    sink.event(ServeEvent::DeltaApplied {
-                        op,
-                        report: Box::new(rep),
-                    });
-                    Done {
-                        conn: job.conn,
-                        seq: job.seq,
-                        kind: DoneKind::DeltaApplied,
-                        payload,
-                    }
-                }
-                Err(e) => {
-                    let error = LineError::Rejected(e);
-                    let payload = format!("err {error}");
-                    sink.event(ServeEvent::LineFailed {
-                        line: format!("delta {op}"),
-                        error,
-                    });
-                    Done {
-                        conn: job.conn,
-                        seq: job.seq,
-                        kind: DoneKind::Failed,
-                        payload,
-                    }
-                }
-            },
-        };
-        if done_tx.send(done).is_err() {
-            break;
-        }
-        let mut w = wake;
-        let _ = w.write(&[1u8]);
     }
 }

@@ -478,16 +478,7 @@ impl ServeIndex for ShardedDeltaIndex {
     }
 
     fn apply_delta_line(&self, op: &str) -> Result<RepairReport, ServeError> {
-        let parsed = GraphDelta::parse_line(op)
-            .map_err(ServeError::Delta)?
-            .ok_or_else(|| {
-                ServeError::Delta(DeltaError::Parse {
-                    message: "empty delta line".into(),
-                })
-            })?;
-        let mut delta = GraphDelta::new();
-        delta.push(parsed);
-        Ok(self.apply_delta(&delta)?)
+        Ok(self.apply_delta(&GraphDelta::parse_op(op)?)?)
     }
 
     fn version(&self) -> Option<u64> {

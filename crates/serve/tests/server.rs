@@ -309,3 +309,74 @@ fn stale_socket_is_unlinked_but_regular_files_are_refused() {
     assert_eq!(std::fs::read(&path).unwrap(), b"precious");
     std::fs::remove_file(&path).unwrap();
 }
+
+/// A frame violation queues behind a `delta` barrier like any line:
+/// pipelined `delta`, query and oversized frame in one write reply as
+/// delta ack, seeds, `err oversized…`; a truncated frame at EOF behind a
+/// barrier likewise replies after the barrier and the query it fenced.
+#[test]
+fn frame_violations_keep_their_place_behind_a_barrier() {
+    let g = graph();
+    let index = ShardedDeltaIndex::new(g.clone(), config(), 2).unwrap();
+    let path = sock_path("violation-order");
+    let tenants = TenantMetrics::new();
+    let server_cfg = ServerConfig {
+        max_frame: 32,
+        ..ServerConfig::default()
+    };
+    let hub = (0..g.n() as u32).max_by_key(|&v| g.in_degree(v)).unwrap();
+    let mut fresh = (0..g.n() as u32).filter(|&u| u != hub && g.prob_of_edge(u, hub).is_none());
+    let (u1, u2) = (fresh.next().unwrap(), fresh.next().unwrap());
+    // Replies are collected first and checked after shutdown, so an
+    // ordering bug fails the test instead of leaving the server running.
+    let (pipelined, truncated) = std::thread::scope(|scope| {
+        let (listener, guard) = Listener::bind_unix(&path).unwrap();
+        let index = &index;
+        let tenants = &tenants;
+        let server_cfg = &server_cfg;
+        let server = scope.spawn(move || {
+            let report = serve_framed(index, vec![listener], server_cfg, tenants, &NullSink);
+            drop(guard);
+            report
+        });
+
+        let mut stream = connect(&path);
+        let mut burst = Vec::new();
+        encode_frame(&format!("delta + {u1} {hub} 0.7"), &mut burst);
+        encode_frame("2 0.2", &mut burst);
+        encode_frame(&"x".repeat(64), &mut burst);
+        stream.write_all(&burst).unwrap();
+        let pipelined: Vec<String> = (0..3).map(|_| read_reply(&mut stream)).collect();
+
+        // Truncation at EOF behind a barrier.
+        let mut trunc = connect(&path);
+        let mut burst = Vec::new();
+        encode_frame(&format!("delta + {u2} {hub} 0.6"), &mut burst);
+        encode_frame("2 0.2", &mut burst);
+        burst.extend_from_slice(&[0, 0, 0, 9, b'x']);
+        trunc.write_all(&burst).unwrap();
+        trunc.shutdown(Shutdown::Write).unwrap();
+        let truncated: Vec<String> = (0..3).map(|_| read_reply(&mut trunc)).collect();
+
+        send_line(&mut stream, "shutdown");
+        assert_eq!(read_reply(&mut stream), "ok shutdown");
+        assert!(server.join().unwrap().unwrap().shutdown);
+        (pipelined, truncated)
+    });
+    assert_eq!(pipelined[0], "ok delta v1");
+    assert!(
+        !pipelined[1].starts_with("err"),
+        "seeds second: {pipelined:?}"
+    );
+    assert_eq!(pipelined[2], "err oversized frame: 64 bytes exceeds cap 32");
+    assert_eq!(truncated[0], "ok delta v2");
+    assert!(
+        !truncated[1].starts_with("err"),
+        "seeds second: {truncated:?}"
+    );
+    assert_eq!(
+        truncated[2],
+        "err truncated frame: stream ended 8 bytes early"
+    );
+    assert_eq!(index.version(), 2);
+}

@@ -50,5 +50,8 @@ pub mod stats;
 pub use fault::{panic_on_chunk, panic_on_chunk_id, Fault, FaultyReader};
 pub use lt_oracle::{mc_certified_lt, ExactLtOracle, MAX_LT_ORACLE_WORLDS};
 pub use oracle::{mc_certified, CertifiedEstimate, ExactOracle, MAX_ORACLE_EDGES};
-pub use sim::{check_seed, generate_script, run_model, run_serving, Sim, SimOutcome, SimStep};
+pub use sim::{
+    check_seed, generate_script, generate_session, run_model, run_serving, run_sessions,
+    SessionInput, SessionRun, Sim, SimOutcome, SimStep,
+};
 pub use stats::{chi_square_critical, chi_square_stat, hoeffding_half_width, merge_small_bins};

@@ -26,17 +26,25 @@
 //! Every generated line is textually unique (ε and p carry a per-step
 //! jitter in their last digits), which is what lets the serving run's
 //! events be re-associated with script lines unambiguously.
+//!
+//! [`run_sessions`] model-checks the per-connection
+//! [`subsim_delta::Session`] that every transport pumps, below any
+//! threads or sockets: a seeded scheduler interleaves several sessions'
+//! inputs ([`generate_session`]: script lines salted with framing faults)
+//! and delivers job completions in a permuted order, and each session's
+//! replies must equal the sequential model's records.
 
 use rand::Rng;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Mutex;
 use subsim_delta::{
-    parse_query, serve_queries, DeltaError, DeltaIndex, GraphDelta, LineError, ServeError,
-    ServeEvent, ServeSink,
+    execute, parse_query, seed_line, serve_queries, DeltaError, DeltaIndex, Done, FrameViolation,
+    GraphDelta, JobKind, LineError, RepairReport, Reply, ServeError, ServeEvent, ServeIndex,
+    ServeSink, Session, DEFERRED_CAP,
 };
 use subsim_diffusion::RrStrategy;
 use subsim_graph::{Graph, NodeId};
-use subsim_index::IndexConfig;
+use subsim_index::{IndexConfig, QueryAnswer};
 use subsim_serve::ShardedDeltaIndex;
 
 /// The `δ` every simulated query uses.
@@ -367,47 +375,39 @@ pub fn run_model(g: &Graph, script: &[String], sim: Sim) -> SimOutcome {
 fn replay(mut index: DeltaIndex, script: &[String]) -> SimOutcome {
     let records = script
         .iter()
-        .map(|line| {
-            if let Some(op) = line.strip_prefix("delta ") {
-                return match GraphDelta::parse_line(op.trim()) {
-                    Ok(Some(parsed)) => {
-                        let mut delta = GraphDelta::new();
-                        delta.push(parsed);
-                        match index.apply_delta(&delta) {
-                            Ok(report) => format!(
-                                "applied v{} regen={}",
-                                report.version, report.regenerated_sets
-                            ),
-                            Err(DeltaError::Parse { .. }) => "rejected-parse".to_string(),
-                            Err(e) => format!("rejected: {e}"),
-                        }
-                    }
-                    _ => "rejected-parse".to_string(),
-                };
-            }
-            match parse_query(line) {
-                Err(_) => "malformed".to_string(),
-                Ok((k, epsilon, pin)) => {
-                    if let Some(p) = pin {
-                        if p != index.version() {
-                            return format!("stale requested={p} current={}", index.version());
-                        }
-                    }
-                    match index.query(k, epsilon, SIM_DELTA) {
-                        Ok(ans) => {
-                            let seeds: Vec<String> =
-                                ans.seeds.iter().map(|s| s.to_string()).collect();
-                            format!("ok {}", seeds.join(" "))
-                        }
-                        Err(e) => format!("rejected: {e}"),
-                    }
-                }
-            }
-        })
+        .map(|line| model_record(&mut index, line))
         .collect();
     SimOutcome {
         records,
         final_version: index.version(),
+    }
+}
+
+/// The sequential model's record for one script line.
+fn model_record(index: &mut DeltaIndex, line: &str) -> SimStep {
+    if let Some(op) = line.strip_prefix("delta ") {
+        return match GraphDelta::parse_op(op).map(|delta| index.apply_delta(&delta)) {
+            Ok(Ok(report)) => format!(
+                "applied v{} regen={}",
+                report.version, report.regenerated_sets
+            ),
+            Ok(Err(DeltaError::Parse { .. })) | Err(_) => "rejected-parse".to_string(),
+            Ok(Err(e)) => format!("rejected: {e}"),
+        };
+    }
+    match parse_query(line) {
+        Err(_) => "malformed".to_string(),
+        Ok((k, epsilon, pin)) => {
+            if let Some(p) = pin {
+                if p != index.version() {
+                    return format!("stale requested={p} current={}", index.version());
+                }
+            }
+            match index.query(k, epsilon, SIM_DELTA) {
+                Ok(ans) => format!("ok {}", seed_line(&ans)),
+                Err(e) => format!("rejected: {e}"),
+            }
+        }
     }
 }
 
@@ -454,6 +454,275 @@ fn diff_outcomes(
          reproduce with seed {seed}, {steps} steps",
         script[i]
     ))
+}
+
+/// One input of a scheduled [`Session`]: a protocol line, or a framing
+/// fault the framed transport decoded in its place.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SessionInput {
+    /// A decoded line.
+    Line(String),
+    /// A framing fault.
+    Violation(FrameViolation),
+}
+
+/// Expands `seed` into one session's input: [`generate_script`]'s lines
+/// with, at seeded positions, oversized and non-UTF-8 frame faults
+/// (~10%) and skipped blank or `#` lines (~5%); on odd seeds the input
+/// ends in a frame truncated at EOF. Pure function of `(g, seed, steps)`.
+pub fn generate_session(g: &Graph, seed: u64, steps: usize) -> Vec<SessionInput> {
+    let mut rng = subsim_sampling::rng_from_seed(seed ^ 0x5e55_1011);
+    let mut inputs = Vec::with_capacity(steps + steps / 5 + 1);
+    for line in generate_script(g, seed, steps) {
+        let roll = rng.gen_range(0..100u32);
+        match roll {
+            0..=4 => inputs.push(SessionInput::Violation(FrameViolation::Oversized {
+                declared: 100 + roll as usize,
+                max: 64,
+            })),
+            5..=9 => inputs.push(SessionInput::Violation(FrameViolation::NotUtf8)),
+            10..=12 => inputs.push(SessionInput::Line("   ".into())),
+            13..=14 => inputs.push(SessionInput::Line(format!("# note {roll}"))),
+            _ => {}
+        }
+        inputs.push(SessionInput::Line(line));
+    }
+    if seed % 2 == 1 {
+        let missing = 1 + rng.gen_range(0..8usize);
+        inputs.push(SessionInput::Violation(FrameViolation::Truncated {
+            missing,
+        }));
+    }
+    inputs
+}
+
+/// What a scheduled multi-session run observed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SessionRun {
+    /// Per session, one record per reply, in the order it released them.
+    pub records: Vec<Vec<SimStep>>,
+    /// The most inputs any session held deferred at once.
+    pub max_deferred: usize,
+    /// Completions delivered before an earlier-dispatched one.
+    pub reordered: usize,
+}
+
+/// The sequential model as a [`ServeIndex`], one line at a time.
+struct Sequential(Mutex<DeltaIndex>);
+
+impl ServeIndex for Sequential {
+    fn run_query(
+        &self,
+        k: usize,
+        epsilon: f64,
+        delta: f64,
+        pin: Option<u64>,
+    ) -> Result<QueryAnswer, ServeError> {
+        let mut index = self.0.lock().expect("model index poisoned");
+        if let Some(requested) = pin.filter(|&v| v != index.version()) {
+            let current = index.version();
+            return Err(DeltaError::StaleVersion { requested, current }.into());
+        }
+        Ok(index.query(k, epsilon, delta)?)
+    }
+
+    fn apply_delta_line(&self, op: &str) -> Result<RepairReport, ServeError> {
+        let delta = GraphDelta::parse_op(op)?;
+        Ok(self
+            .0
+            .lock()
+            .expect("model index poisoned")
+            .apply_delta(&delta)?)
+    }
+}
+
+/// One session under the scheduler: the state machine, the sequential
+/// index its jobs run on, and what it has been fed and dispatched.
+struct Scheduled<'a> {
+    session: Session,
+    index: Sequential,
+    inputs: &'a [SessionInput],
+    fed: usize,
+    queries_out: usize,
+    delta_out: bool,
+    records: Vec<SimStep>,
+}
+
+/// Drives one [`Session`] per script through a seeded completion-order
+/// scheduler. Each step either feeds the next input of a random session
+/// that is not [`Session::gated`] (with probability `feed_bias` when a
+/// completion is also waiting) or delivers a random waiting completion.
+/// A dispatched job executes at once against its session's own
+/// sequential [`DeltaIndex`], in dispatch order; only delivery order is
+/// permuted.
+///
+/// Checks the barrier as jobs dispatch (a delta never runs beside its
+/// session's queries), the deferred cap after every step, that every
+/// session ends [`Session::idle`], and that every session's replies
+/// equal [`run_model`]'s records for its lines. Errors name the seed.
+pub fn run_sessions(
+    g: &Graph,
+    scripts: &[Vec<SessionInput>],
+    sim: Sim,
+    seed: u64,
+    feed_bias: f64,
+) -> Result<SessionRun, String> {
+    let fail = |what: String| format!("seed {seed}: {what}; reproduce with seed {seed}");
+    let mut rng = subsim_sampling::rng_from_seed(seed);
+    let mut sessions: Vec<Scheduled> = scripts
+        .iter()
+        .map(|inputs| {
+            let mut index = DeltaIndex::new(g.clone(), sim.config).expect("simulated index builds");
+            if sim.warm > 0 {
+                index.warm(sim.warm).expect("index warmup");
+            }
+            Scheduled {
+                session: Session::default(),
+                index: Sequential(Mutex::new(index)),
+                inputs,
+                fed: 0,
+                queries_out: 0,
+                delta_out: false,
+                records: Vec::new(),
+            }
+        })
+        .collect();
+    // Waiting completions: (session, dispatch number, completion).
+    let mut waiting: Vec<(usize, u64, Done)> = Vec::new();
+    let mut dispatched = 0u64;
+    let mut delivered_up_to = 0u64;
+    let mut run = SessionRun {
+        records: Vec::new(),
+        max_deferred: 0,
+        reordered: 0,
+    };
+    loop {
+        let feedable: Vec<usize> = (0..sessions.len())
+            .filter(|&i| {
+                let s = &sessions[i];
+                s.fed < s.inputs.len() && !s.session.gated()
+            })
+            .collect();
+        if feedable.is_empty() && waiting.is_empty() {
+            break;
+        }
+        let i = if !feedable.is_empty() && (waiting.is_empty() || rng.gen_bool(feed_bias)) {
+            let i = feedable[rng.gen_range(0..feedable.len())];
+            let s = &mut sessions[i];
+            match s.inputs[s.fed].clone() {
+                SessionInput::Line(line) => s.session.line(&line),
+                SessionInput::Violation(v) => s.session.violation(v),
+            }
+            s.fed += 1;
+            i
+        } else {
+            let (i, n, done) = waiting.swap_remove(rng.gen_range(0..waiting.len()));
+            if n < delivered_up_to {
+                run.reordered += 1;
+            }
+            delivered_up_to = delivered_up_to.max(n);
+            let s = &mut sessions[i];
+            match done.reply {
+                Reply::Delta { .. } => s.delta_out = false,
+                _ => s.queries_out -= 1,
+            }
+            s.session.complete(done);
+            i
+        };
+        let s = &mut sessions[i];
+        while let Some(job) = s.session.next_job() {
+            if s.delta_out {
+                return Err(fail(format!(
+                    "session {i} dispatched {:?} beside a running delta",
+                    job.line
+                )));
+            }
+            match job.kind {
+                JobKind::Delta if s.queries_out > 0 => {
+                    return Err(fail(format!(
+                        "session {i} dispatched {:?} with {} queries out",
+                        job.line, s.queries_out
+                    )));
+                }
+                JobKind::Delta => s.delta_out = true,
+                JobKind::Query { .. } => s.queries_out += 1,
+            }
+            waiting.push((i, dispatched, execute(&s.index, SIM_DELTA, job)));
+            dispatched += 1;
+        }
+        while let Some(reply) = s.session.next_reply() {
+            s.records.push(reply_record(reply));
+        }
+        if s.session.deferred() > DEFERRED_CAP {
+            return Err(fail(format!(
+                "session {i} deferred {} inputs",
+                s.session.deferred()
+            )));
+        }
+        run.max_deferred = run.max_deferred.max(s.session.deferred());
+    }
+    for (i, s) in sessions.into_iter().enumerate() {
+        if !s.session.idle() {
+            return Err(fail(format!("session {i} ended with work outstanding")));
+        }
+        let model = session_model(g, s.inputs, sim);
+        if s.records != model {
+            let at = s
+                .records
+                .iter()
+                .zip(&model)
+                .take_while(|(a, b)| a == b)
+                .count();
+            return Err(fail(format!(
+                "session {i} reply {at} diverged: served {:?} vs model {:?} ({} vs {} replies)",
+                s.records.get(at),
+                model.get(at),
+                s.records.len(),
+                model.len()
+            )));
+        }
+        run.records.push(s.records);
+    }
+    Ok(run)
+}
+
+/// Canonical record of one session reply, in [`run_model`]'s terms.
+fn reply_record(reply: Reply) -> SimStep {
+    match reply {
+        Reply::Query {
+            result: Ok(ans), ..
+        } => format!("ok {}", seed_line(&ans)),
+        Reply::Delta {
+            result: Ok(report), ..
+        } => format!(
+            "applied v{} regen={}",
+            report.version, report.regenerated_sets
+        ),
+        Reply::Query { result: Err(e), .. } | Reply::Delta { result: Err(e), .. } => {
+            render_failure(&LineError::Rejected(e))
+        }
+        Reply::Failed { error, .. } => render_failure(&error),
+        other => format!("unexpected {}", other.payload()),
+    }
+}
+
+/// The sequential model's records for one session's input: one per
+/// line that is not blank or `#`, and one per framing fault.
+fn session_model(g: &Graph, inputs: &[SessionInput], sim: Sim) -> Vec<SimStep> {
+    let mut index = DeltaIndex::new(g.clone(), sim.config).expect("simulated index builds");
+    if sim.warm > 0 {
+        index.warm(sim.warm).expect("index warmup");
+    }
+    inputs
+        .iter()
+        .filter_map(|input| match input {
+            SessionInput::Violation(v) => Some(render_failure(&LineError::Frame(v.clone()))),
+            SessionInput::Line(line) => {
+                let line = line.trim();
+                (!line.is_empty() && !line.starts_with('#')).then(|| model_record(&mut index, line))
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -1,13 +1,19 @@
 //! The deterministic serving simulator: seeded schedules of interleaved
-//! queries, version pins, and graph deltas drive the real serving stack and are model-checked against the sequential
+//! queries, version pins, and graph deltas drive the real serving stack,
+//! and seeded completion orders drive the per-connection `Session` state
+//! machine directly; both are model-checked against the sequential
 //! [`subsim_delta::DeltaIndex`]. A failure here prints the offending
 //! `u64` seed, and `check_seed` replays it bit-identically — the
 //! FoundationDB-style loop: explore schedules randomly, reproduce
 //! deterministically.
 
+use subsim_delta::DEFERRED_CAP;
 use subsim_graph::generators::barabasi_albert;
 use subsim_graph::{Graph, WeightModel};
-use subsim_testkit::{check_seed, generate_script, run_model, run_serving, Sim};
+use subsim_testkit::{
+    check_seed, generate_script, generate_session, run_model, run_serving, run_sessions,
+    SessionInput, Sim,
+};
 
 fn sim_graph() -> Graph {
     barabasi_albert(48, 2, WeightModel::Wc, 17)
@@ -158,5 +164,87 @@ fn heavy_sentinel_seed_sweep() {
             check_seed(&g, Sim::ic().sentinel().shards(shards), seed, 80)
                 .unwrap_or_else(|e| panic!("shards={shards}: {e}"));
         }
+    }
+}
+
+/// Several sessions' scripts for one sweep seed.
+fn session_scripts(g: &Graph, seed: u64, sessions: u64, steps: usize) -> Vec<Vec<SessionInput>> {
+    (0..sessions)
+        .map(|j| generate_session(g, seed * 16 + j, steps))
+        .collect()
+}
+
+#[test]
+fn interleaved_sessions_match_the_model_under_permuted_completions() {
+    // The Session model check: three sessions fed and completed in a
+    // seeded interleaving, each job's completion delivered in a permuted
+    // order, must each reply exactly the sequential model's records,
+    // framing faults included, and end idle.
+    let g = sim_graph();
+    let mut reordered = 0;
+    let mut saw_frame = false;
+    let mut saw_truncated = false;
+    for seed in 0..6 {
+        let scripts = session_scripts(&g, seed, 3, 40);
+        let run = run_sessions(&g, &scripts, Sim::ic(), seed, 0.5).unwrap();
+        reordered += run.reordered;
+        for records in &run.records {
+            saw_frame |= records.iter().any(|r| r.starts_with("frame: oversized"));
+            saw_truncated |= records
+                .last()
+                .is_some_and(|r| r.starts_with("frame: truncated"));
+        }
+    }
+    assert!(reordered > 0, "no completion was delivered out of order");
+    assert!(saw_frame, "no oversized frame across the sweep");
+    assert!(saw_truncated, "no truncation at EOF across the sweep");
+}
+
+#[test]
+fn session_schedules_replay_bit_identically() {
+    let g = sim_graph();
+    let scripts = session_scripts(&g, 3, 2, 30);
+    let a = run_sessions(&g, &scripts, Sim::ic(), 3, 0.5).unwrap();
+    let b = run_sessions(&g, &scripts, Sim::ic(), 3, 0.5).unwrap();
+    assert_eq!(a, b, "one seed, one schedule");
+}
+
+#[test]
+fn bursts_past_the_deferred_cap_gate_the_session() {
+    // A delta, then more lines than the deferred cap. Completions are
+    // delivered only when no session can be fed, so the burst fills the
+    // deferred queue to exactly the cap, gates, and drains once the
+    // delta completes.
+    let g = sim_graph();
+    let (u, v) = (0..g.n() as u32)
+        .flat_map(|u| (0..g.n() as u32).map(move |v| (u, v)))
+        .find(|&(u, v)| u != v && g.prob_of_edge(u, v).is_none())
+        .unwrap();
+    let mut burst = vec![SessionInput::Line(format!("delta + {u} {v} 0.5"))];
+    burst.extend((0..DEFERRED_CAP + 100).map(|i| {
+        SessionInput::Line(match i % 4 {
+            0 => format!("bogus {i}"),
+            1 => "2 0.4 @1".to_string(),
+            _ => format!("{} 0.4", 1 + i % 3),
+        })
+    }));
+    burst.push(SessionInput::Violation(
+        subsim_delta::FrameViolation::Truncated { missing: 3 },
+    ));
+    let other = generate_session(&g, 1, 30);
+    let run = run_sessions(&g, &[burst, other], Sim::ic(), 9, 1.0).unwrap();
+    assert_eq!(run.max_deferred, DEFERRED_CAP, "the burst filled the cap");
+    assert_eq!(run.records[0].len(), DEFERRED_CAP + 102);
+}
+
+/// Release-tier Session sweep (CI testkit job, `--include-ignored`).
+#[test]
+#[ignore = "wide seed sweep; run in release (see TESTING.md)"]
+fn heavy_session_seed_sweep() {
+    let g = sim_graph();
+    for seed in 0..48 {
+        let scripts = session_scripts(&g, seed, 4, 80);
+        let bias = [0.2, 0.5, 0.9][seed as usize % 3];
+        run_sessions(&g, &scripts, Sim::ic(), seed, bias).unwrap();
     }
 }

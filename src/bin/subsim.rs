@@ -786,16 +786,19 @@ fn serve_transport<I: ServeIndex>(index: &I, args: &ServerArgs) -> Result<(), St
                 let reader = std::io::BufReader::new(
                     stream.try_clone().map_err(|e| format!("socket: {e}"))?,
                 );
-                let shutdown = serve_queries(
+                // A client that drops mid-answer ends its own session
+                // only; the server keeps accepting.
+                match serve_queries(
                     index,
                     args.delta,
                     args.threads,
                     reader,
                     stream,
                     &log_serve_event,
-                )?;
-                if shutdown {
-                    break;
+                ) {
+                    Ok(true) => break,
+                    Ok(false) => {}
+                    Err(e) => eprintln!("client on {path} dropped: {e}"),
                 }
             }
         }
