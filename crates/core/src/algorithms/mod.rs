@@ -1,7 +1,5 @@
 //! The IM algorithms. See the crate docs for the role of each.
 
-mod celf;
-mod dssa;
 mod hist;
 mod imm;
 mod mc_greedy;
@@ -9,8 +7,6 @@ mod opim;
 mod ssa;
 mod tim;
 
-pub use celf::Celf;
-pub use dssa::Dssa;
 pub use hist::Hist;
 pub use imm::Imm;
 pub use mc_greedy::McGreedy;

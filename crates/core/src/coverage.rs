@@ -401,8 +401,8 @@ impl MarginalHistogram {
 ///
 /// Exists for *differential testing*: on tie-free inputs it must select
 /// exactly the same seeds as [`greedy_max_coverage`], and on any input it
-/// must reach the same total coverage trajectory. The `greedy_impls`
-/// Criterion bench compares their throughput.
+/// must reach the same total coverage trajectory (`tests/prop.rs`). The
+/// `selection.buckets` row of `experiments layers` times the two.
 pub fn greedy_max_coverage_buckets(rr: &RrCollection, k: usize) -> GreedyOutcome {
     let n = rr.graph_n();
     let idx = InvertedIndex::build(rr);

@@ -9,10 +9,9 @@
 //! | algorithm | struct | paper role |
 //! |---|---|---|
 //! | Monte-Carlo greedy | [`algorithms::McGreedy`] | Kempe et al. baseline, ground truth on small graphs |
-//! | CELF | [`algorithms::Celf`] | lazy-forward accelerated MC greedy (Leskovec et al. 2007) |
 //! | IMM | [`algorithms::Imm`] | Tang et al. 2015 baseline |
 //! | TIM⁺ | [`algorithms::TimPlus`] | Tang et al. 2014 baseline |
-//! | SSA / D-SSA | [`algorithms::Ssa`], [`algorithms::Dssa`] | Nguyen et al. 2016 baselines (stop-and-stare) |
+//! | SSA | [`algorithms::Ssa`] | Nguyen et al. 2016 baseline (stop-and-stare) |
 //! | OPIM-C | [`algorithms::OpimC`] | Tang et al. 2018 baseline and SUBSIM's host |
 //! | SUBSIM | [`algorithms::OpimC::subsim`] | OPIM-C + geometric-skip RR generation (Section 3) |
 //! | HIST | [`algorithms::Hist`] | sentinel-set two-phase algorithm (Section 4) |
@@ -33,7 +32,7 @@ pub mod options;
 pub mod result;
 pub mod sentinel;
 
-pub use algorithms::{Celf, Dssa, Hist, Imm, McGreedy, OpimC, Ssa, TimPlus};
+pub use algorithms::{Hist, Imm, McGreedy, OpimC, Ssa, TimPlus};
 pub use certificate::{certify_seed_set, certify_seed_set_auto, InfluenceCertificate};
 pub use error::ImError;
 pub use options::ImOptions;
@@ -62,7 +61,7 @@ pub trait ImAlgorithm {
 
 /// Commonly used items.
 pub mod prelude {
-    pub use crate::algorithms::{Celf, Dssa, Hist, Imm, McGreedy, OpimC, Ssa, TimPlus};
+    pub use crate::algorithms::{Hist, Imm, McGreedy, OpimC, Ssa, TimPlus};
     pub use crate::certificate::{certify_seed_set, InfluenceCertificate};
     pub use crate::error::ImError;
     pub use crate::options::ImOptions;

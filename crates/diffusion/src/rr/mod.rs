@@ -262,7 +262,7 @@ impl<'g> RrSampler<'g> {
     /// every generation takes the scalar queue walk. The two paths are
     /// bit-identical by construction (`tests/frontier.rs` pins this); the
     /// scalar sampler survives as the differential reference and as the
-    /// baseline arm of `experiments bench-pr8`.
+    /// baseline arm of the `kernel.*` rows of `experiments layers`.
     pub fn scalar(g: &'g Graph, strategy: RrStrategy) -> Self {
         let bucket = match strategy {
             RrStrategy::SubsimBucketIc if !g.has_uniform_in_probs() => {

@@ -1,11 +1,7 @@
-//! Connectivity analysis: weakly and strongly connected components.
+//! Connectivity analysis: weakly connected components.
 //!
 //! IM preprocessing routinely restricts to the largest weakly connected
-//! component (isolated islands cannot be influenced from outside), and the
-//! SCC structure explains influence plateaus: within a strongly connected
-//! component under high propagation probabilities, every node reaches
-//! every other, which is exactly the regime where HIST's sentinel
-//! truncation pays off.
+//! component (isolated islands cannot be influenced from outside).
 
 use crate::csr::{Graph, NodeId};
 
@@ -72,95 +68,18 @@ pub fn weakly_connected_components(g: &Graph) -> Components {
     }
 }
 
-/// Strongly connected components by Tarjan's algorithm, iterative to
-/// survive deep graphs. `O(n + m)`.
-pub fn strongly_connected_components(g: &Graph) -> Components {
-    let n = g.n();
-    const UNSET: u32 = u32::MAX;
-    let mut index = vec![UNSET; n]; // discovery order
-    let mut lowlink = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut label = vec![UNSET; n];
-    let mut stack: Vec<NodeId> = Vec::new();
-    let mut next_index = 0u32;
-    let mut count = 0u32;
-
-    // Explicit DFS frame: (node, next out-neighbor offset).
-    let mut frames: Vec<(NodeId, usize)> = Vec::new();
-    for root in 0..n as NodeId {
-        if index[root as usize] != UNSET {
-            continue;
-        }
-        frames.push((root, 0));
-        index[root as usize] = next_index;
-        lowlink[root as usize] = next_index;
-        next_index += 1;
-        stack.push(root);
-        on_stack[root as usize] = true;
-
-        while let Some(&mut (v, ref mut i)) = frames.last_mut() {
-            let nbrs = g.out_neighbors(v);
-            if *i < nbrs.len() {
-                let w = nbrs[*i];
-                *i += 1;
-                if index[w as usize] == UNSET {
-                    index[w as usize] = next_index;
-                    lowlink[w as usize] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack[w as usize] = true;
-                    frames.push((w, 0));
-                } else if on_stack[w as usize] {
-                    lowlink[v as usize] = lowlink[v as usize].min(index[w as usize]);
-                }
-            } else {
-                frames.pop();
-                if let Some(&(parent, _)) = frames.last() {
-                    lowlink[parent as usize] = lowlink[parent as usize].min(lowlink[v as usize]);
-                }
-                if lowlink[v as usize] == index[v as usize] {
-                    // v is an SCC root: pop its component.
-                    loop {
-                        let w = stack.pop().expect("stack holds the component");
-                        on_stack[w as usize] = false;
-                        label[w as usize] = count;
-                        if w == v {
-                            break;
-                        }
-                    }
-                    count += 1;
-                }
-            }
-        }
-    }
-    Components {
-        label,
-        count: count as usize,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
-    use crate::generators::{cycle_graph, path_graph};
+    use crate::generators::path_graph;
     use crate::weights::WeightModel;
 
     #[test]
-    fn path_is_one_wcc_n_sccs() {
+    fn path_is_one_wcc() {
         let g = path_graph(5, WeightModel::Wc);
         let wcc = weakly_connected_components(&g);
         assert_eq!(wcc.count, 1);
-        let scc = strongly_connected_components(&g);
-        assert_eq!(scc.count, 5);
-    }
-
-    #[test]
-    fn cycle_is_one_scc() {
-        let g = cycle_graph(6, WeightModel::Wc);
-        let scc = strongly_connected_components(&g);
-        assert_eq!(scc.count, 1);
-        assert_eq!(scc.largest().1, 6);
     }
 
     #[test]
@@ -177,47 +96,18 @@ mod tests {
     }
 
     #[test]
-    fn scc_with_back_edge() {
-        // 0 -> 1 -> 2 -> 0 forms an SCC; 2 -> 3 dangles.
-        let g = GraphBuilder::new(4)
-            .edges([(0, 1), (1, 2), (2, 0), (2, 3)])
-            .build()
-            .unwrap();
-        let scc = strongly_connected_components(&g);
-        assert_eq!(scc.count, 2);
-        assert_eq!(scc.label[0], scc.label[1]);
-        assert_eq!(scc.label[1], scc.label[2]);
-        assert_ne!(scc.label[3], scc.label[0]);
-        assert_eq!(scc.largest().1, 3);
-    }
-
-    #[test]
     fn isolated_nodes_are_singletons() {
         let g = GraphBuilder::new(4).add_edge(0, 1).build().unwrap();
         let wcc = weakly_connected_components(&g);
         assert_eq!(wcc.count, 3);
-        let scc = strongly_connected_components(&g);
-        assert_eq!(scc.count, 4);
-    }
-
-    #[test]
-    fn deep_path_does_not_overflow_stack() {
-        // Iterative Tarjan must handle a 200k-node chain.
-        let g = path_graph(200_000, WeightModel::Wc);
-        let scc = strongly_connected_components(&g);
-        assert_eq!(scc.count, 200_000);
     }
 
     #[test]
     fn labels_cover_all_nodes() {
         let g = crate::generators::rmat(8, 1000, WeightModel::Wc, 7);
-        for comps in [
-            weakly_connected_components(&g),
-            strongly_connected_components(&g),
-        ] {
-            assert_eq!(comps.label.len(), g.n());
-            assert!(comps.label.iter().all(|&l| (l as usize) < comps.count));
-            assert_eq!(comps.sizes().iter().sum::<usize>(), g.n());
-        }
+        let comps = weakly_connected_components(&g);
+        assert_eq!(comps.label.len(), g.n());
+        assert!(comps.label.iter().all(|&l| (l as usize) < comps.count));
+        assert_eq!(comps.sizes().iter().sum::<usize>(), g.n());
     }
 }

@@ -162,38 +162,6 @@ pub fn rmat_with(
         .expect("generator produces valid edges")
 }
 
-/// Watts–Strogatz small world: ring of `n` nodes, each connected to its
-/// `k` nearest neighbors (k even), with each edge rewired with probability
-/// `beta`. Materialized in both directions.
-pub fn watts_strogatz(n: usize, k: usize, beta: f64, model: WeightModel, seed: u64) -> Graph {
-    assert!(k.is_multiple_of(2) && k >= 2, "k must be even and >= 2");
-    assert!(n > k, "n must exceed k");
-    let mut rng = rng_from_seed(seed);
-    let mut edges = Vec::with_capacity(n * k / 2);
-    for u in 0..n {
-        for j in 1..=k / 2 {
-            let mut v = (u + j) % n;
-            if rng.gen::<f64>() < beta {
-                // Rewire to a uniform non-self target.
-                loop {
-                    v = rng.gen_range(0..n);
-                    if v != u {
-                        break;
-                    }
-                }
-            }
-            edges.push((u as NodeId, v as NodeId));
-        }
-    }
-    GraphBuilder::new(n)
-        .edges(edges)
-        .undirected(true)
-        .weights(model)
-        .weight_seed(seed ^ 0x9e37_79b9)
-        .build()
-        .expect("generator produces valid edges")
-}
-
 /// Directed path `0 -> 1 -> … -> n-1`.
 pub fn path_graph(n: usize, model: WeightModel) -> Graph {
     GraphBuilder::new(n)
@@ -237,102 +205,6 @@ pub fn complete_graph(n: usize, model: WeightModel) -> Graph {
         .weights(model)
         .build()
         .expect("valid complete graph")
-}
-
-/// Configuration-model-style generator with a power-law out-degree
-/// sequence: node `v`'s out-degree is drawn from a Pareto-ish law
-/// `P(d >= x) ∝ x^(1-gamma)` truncated to `[1, max_degree]`, and targets
-/// are chosen uniformly (rejecting self-loops). Duplicates are dropped by
-/// the builder, so realized degrees can be slightly lower.
-///
-/// Unlike Barabási–Albert this decouples the in- and out-degree tails,
-/// mimicking follower-style networks (Twitter) where out-degree skew
-/// drives RR-set membership and in-degree skew drives generation cost.
-pub fn power_law_configuration(
-    n: usize,
-    gamma: f64,
-    max_degree: usize,
-    model: WeightModel,
-    seed: u64,
-) -> Graph {
-    assert!(n >= 2, "need at least 2 nodes");
-    assert!(gamma > 1.0, "gamma must exceed 1");
-    let mut rng = rng_from_seed(seed);
-    let max_degree = max_degree.min(n - 1).max(1);
-    let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
-    for u in 0..n {
-        // Inverse-CDF draw from the truncated Pareto: d = floor(U^(-1/(γ-1))).
-        let x: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-        let d = (x.powf(-1.0 / (gamma - 1.0)) as usize).clamp(1, max_degree);
-        for _ in 0..d {
-            loop {
-                let v = rng.gen_range(0..n);
-                if v != u {
-                    edges.push((u as NodeId, v as NodeId));
-                    break;
-                }
-            }
-        }
-    }
-    GraphBuilder::new(n)
-        .edges(edges)
-        .weights(model)
-        .weight_seed(seed ^ 0x9e37_79b9)
-        .build()
-        .expect("generator produces valid edges")
-}
-
-/// Forest-fire model (Leskovec et al. 2005): each new node picks a random
-/// ambassador and "burns" through the existing graph, linking to every
-/// burned node; forward burns spread with probability `p_forward` per
-/// out-edge. Produces densifying, heavy-tailed, community-ish networks.
-pub fn forest_fire(n: usize, p_forward: f64, model: WeightModel, seed: u64) -> Graph {
-    assert!(n >= 2, "need at least 2 nodes");
-    assert!(
-        (0.0..1.0).contains(&p_forward),
-        "p_forward must be in [0,1)"
-    );
-    let mut rng = rng_from_seed(seed);
-    // Adjacency grown incrementally (out-edges only; burning follows both
-    // directions via a reverse list).
-    let mut out_adj: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-    let mut in_adj: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-    let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
-    let mut burned = vec![0u32; n];
-    let mut epoch = 0u32;
-    let mut queue: Vec<NodeId> = Vec::new();
-    for u in 1..n {
-        epoch += 1;
-        let ambassador = rng.gen_range(0..u) as NodeId;
-        queue.clear();
-        queue.push(ambassador);
-        burned[ambassador as usize] = epoch;
-        let mut head = 0;
-        // Cap the burn to keep the expected degree bounded even for
-        // p_forward close to 1.
-        let cap = 1 + (8.0 / (1.0 - p_forward)) as usize;
-        while head < queue.len() && queue.len() < cap {
-            let w = queue[head];
-            head += 1;
-            for &x in out_adj[w as usize].iter().chain(in_adj[w as usize].iter()) {
-                if burned[x as usize] != epoch && rng.gen::<f64>() < p_forward {
-                    burned[x as usize] = epoch;
-                    queue.push(x);
-                }
-            }
-        }
-        for &w in &queue {
-            edges.push((u as NodeId, w));
-            out_adj[u].push(w);
-            in_adj[w as usize].push(u as NodeId);
-        }
-    }
-    GraphBuilder::new(n)
-        .edges(edges)
-        .weights(model)
-        .weight_seed(seed ^ 0x9e37_79b9)
-        .build()
-        .expect("generator produces valid edges")
 }
 
 #[cfg(test)]
@@ -381,14 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn watts_strogatz_degree() {
-        let g = watts_strogatz(200, 4, 0.1, WeightModel::Wc, 5);
-        assert_eq!(g.n(), 200);
-        // Each node initiated k/2 = 2 undirected edges -> ~4n directed.
-        assert!(g.m() >= 780 && g.m() <= 800, "m = {}", g.m());
-    }
-
-    #[test]
     fn fixtures_shapes() {
         let p = path_graph(5, WeightModel::Wc);
         assert_eq!(p.m(), 4);
@@ -401,40 +265,6 @@ mod tests {
         assert_eq!(s.in_degree(0), 0);
         let k = complete_graph(4, WeightModel::Wc);
         assert_eq!(k.m(), 12);
-    }
-
-    #[test]
-    fn power_law_configuration_shape() {
-        let g = power_law_configuration(1000, 2.2, 200, WeightModel::Wc, 13);
-        assert_eq!(g.n(), 1000);
-        assert!(g.m() >= 900, "m = {}", g.m());
-        let max_out = (0..1000u32).map(|v| g.out_degree(v)).max().unwrap();
-        let avg = g.m() as f64 / 1000.0;
-        assert!(
-            max_out as f64 > 4.0 * avg,
-            "expected out-degree tail: {max_out} vs {avg}"
-        );
-        for (u, v, _) in g.edges() {
-            assert_ne!(u, v);
-        }
-    }
-
-    #[test]
-    fn forest_fire_grows_connected() {
-        let g = forest_fire(500, 0.3, WeightModel::Wc, 14);
-        assert_eq!(g.n(), 500);
-        assert!(g.m() >= 499, "m = {}", g.m());
-        // Every non-root node linked to at least one predecessor.
-        for v in 1..500u32 {
-            assert!(g.out_degree(v) >= 1, "node {v} has no out-edges");
-        }
-    }
-
-    #[test]
-    fn forest_fire_density_increases_with_p() {
-        let sparse = forest_fire(400, 0.1, WeightModel::Wc, 15);
-        let dense = forest_fire(400, 0.6, WeightModel::Wc, 15);
-        assert!(dense.m() > sparse.m(), "{} <= {}", dense.m(), sparse.m());
     }
 
     #[test]

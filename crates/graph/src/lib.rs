@@ -14,7 +14,7 @@
 //! - [`builder::GraphBuilder`] — edge-list ingestion with deduplication,
 //!   self-loop removal, and optional undirected doubling.
 //! - [`generators`] — synthetic networks (Barabási–Albert, Erdős–Rényi,
-//!   R-MAT, Watts–Strogatz, and small fixtures) used to stand in for the
+//!   R-MAT, and small fixtures) used to stand in for the
 //!   paper's SNAP/KONECT datasets at laptop scale (see `DESIGN.md` §3).
 //! - [`io`] — whitespace-separated edge-list text I/O.
 //! - [`lt`] — per-node alias tables for O(1) Linear-Threshold reverse
@@ -38,7 +38,7 @@ pub mod transform;
 pub mod weights;
 
 pub use builder::GraphBuilder;
-pub use components::{strongly_connected_components, weakly_connected_components, Components};
+pub use components::{weakly_connected_components, Components};
 pub use csr::{Graph, InProbs, NodeId};
 pub use error::GraphError;
 pub use lt::LtIndex;

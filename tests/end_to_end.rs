@@ -156,24 +156,19 @@ fn hist_under_lt_model() {
 }
 
 #[test]
-fn dssa_and_tim_select_reasonable_seeds() {
+fn tim_selects_reasonable_seeds() {
     let g = generators::barabasi_albert(300, 4, WeightModel::Wc, 144);
     let opts = ImOptions::new(5).epsilon(0.4).delta(0.1).seed(145);
     let reference = OpimC::subsim().run(&g, &opts).unwrap();
     let ref_inf = mc_influence(&g, &reference.seeds, CascadeModel::Ic, 10_000, 146);
-    for alg in [
-        Box::new(Dssa::vanilla()) as Box<dyn ImAlgorithm>,
-        Box::new(TimPlus::vanilla()),
-        Box::new(Celf::ic(400)),
-    ] {
-        let res = alg.run(&g, &opts).unwrap();
-        let inf = mc_influence(&g, &res.seeds, CascadeModel::Ic, 10_000, 146);
-        assert!(
-            inf > 0.85 * ref_inf,
-            "{}: {inf:.1} vs reference {ref_inf:.1}",
-            alg.name()
-        );
-    }
+    let alg = TimPlus::vanilla();
+    let res = alg.run(&g, &opts).unwrap();
+    let inf = mc_influence(&g, &res.seeds, CascadeModel::Ic, 10_000, 146);
+    assert!(
+        inf > 0.85 * ref_inf,
+        "{}: {inf:.1} vs reference {ref_inf:.1}",
+        alg.name()
+    );
 }
 
 #[test]
