@@ -15,7 +15,8 @@
 //!   selection preparation, and the bucket greedy vs the lazy heap;
 //! - `sampler.subset`: the per-edge Bernoulli scan vs the geometric skip;
 //! - `sketch.bytes` / `sketch.query`: exact vs HLL-sketched validation
-//!   pools per register precision;
+//!   pools per register precision, and `sketch.build`: the time to
+//!   sketch one `R₂` at a low and at the highest precision;
 //! - `repair` / `repair.dirty_sets`: delta repair vs a full rebuild.
 //!
 //! [`judge`] checks every row before the artifact is written; the sweep
@@ -30,7 +31,7 @@ use subsim_delta::{DeltaIndex, GraphDelta, VersionedGraph};
 use subsim_diffusion::pool::WorkerPool;
 use subsim_diffusion::{RrCollection, RrSampler, RrStrategy};
 use subsim_graph::{Graph, GraphBuilder, WeightModel};
-use subsim_index::{IndexConfig, RrIndex, SENTINEL_WARMUP_CHUNKS};
+use subsim_index::{IndexConfig, RrIndex, SketchedPool, SENTINEL_WARMUP_CHUNKS};
 use subsim_sampling::{bernoulli_subset_naive, rng_from_seed, uniform_subset};
 
 /// Back-to-back rounds per paired timing.
@@ -594,7 +595,32 @@ fn sketch_rows(g: &Graph, scale: Scale, threads: usize) -> Vec<Row> {
             None,
         ));
     }
+    rows.push(sketch_build_row(exact.validation_pool(), chunk_size));
     rows
+}
+
+/// Milliseconds to absorb `r2`, the sketch rig's exact `R₂` in chunks of
+/// `chunk_size`, into chunk sketches at `p = 6` and at `p = 10`. A chunk
+/// sketch is built from its sorted appearances at any precision, so the
+/// ratio stays near 1 instead of falling with `2^p`.
+fn sketch_build_row(r2: &RrCollection, chunk_size: usize) -> Row {
+    let ids: Vec<u64> = (0..(r2.len() / chunk_size) as u64).collect();
+    let absorb = |precision: u8| {
+        let mut pool = SketchedPool::new(r2.graph_n(), chunk_size, precision);
+        secs(|| pool.absorb_chunk_ids(&ids, r2))
+    };
+    let t = paired(|| absorb(6), || absorb(10));
+    Row {
+        layer: "sketch.build",
+        sides: ["p=6", "p=10"],
+        param: format!("sets={} chunk={chunk_size}", r2.len()),
+        unit: "ms",
+        base: t.base_s * 1e3,
+        variant: t.variant_s * 1e3,
+        ratio: t.ratio,
+        identical: None,
+        gate: None,
+    }
 }
 
 /// Deterministic splitmix64, for synthesizing delta batches.

@@ -616,12 +616,12 @@ mod tests {
         }
     }
 
-    /// Sketches a whole half the way `ensure_pool` would: one absorbed
-    /// batch covering chunks `0..chunks`.
+    /// Sketches a whole half the way pool growth would: chunks
+    /// `0..chunks`, absorbed in one batch.
     fn sketch_of(g: &Graph, chunks: u64, chunk_size: usize, seed: u64, p: u8) -> SketchedPool {
         let rr = full_rebuild(g, chunks, chunk_size, seed, RrStrategy::SubsimIc);
         let mut sk = SketchedPool::new(g.n(), chunk_size, p);
-        sk.absorb_batch(0, &rr);
+        sk.absorb_chunk_ids(&(0..chunks).collect::<Vec<_>>(), &rr);
         sk
     }
 

@@ -112,15 +112,7 @@ pub fn rmat(scale: u32, m: usize, model: WeightModel, seed: u64) -> Graph {
 /// # Panics
 ///
 /// Panics unless `a, b, c >= 0` and `a + b + c <= 1`.
-pub fn rmat_with(
-    scale: u32,
-    m: usize,
-    a: f64,
-    b: f64,
-    c: f64,
-    model: WeightModel,
-    seed: u64,
-) -> Graph {
+fn rmat_with(scale: u32, m: usize, a: f64, b: f64, c: f64, model: WeightModel, seed: u64) -> Graph {
     assert!(a >= 0.0 && b >= 0.0 && c >= 0.0 && a + b + c <= 1.0 + 1e-12);
     let n = 1usize << scale;
     let mut rng = rng_from_seed(seed);

@@ -21,8 +21,8 @@
 //!   steps.
 //! - [`stats`] — degree and weight summaries (Table 2 reproduction).
 //! - [`components`] / [`transform`] — connectivity analysis and the
-//!   preprocessing transforms (transpose, induced subgraph, largest WCC)
-//!   IM pipelines apply before seeding.
+//!   preprocessing transforms (induced subgraph, largest WCC) IM
+//!   pipelines apply before seeding.
 
 #![warn(missing_docs)]
 
@@ -43,7 +43,7 @@ pub use csr::{Graph, InProbs, NodeId};
 pub use error::GraphError;
 pub use lt::LtIndex;
 pub use stats::GraphStats;
-pub use transform::{induced_subgraph, largest_wcc, transpose};
+pub use transform::{induced_subgraph, largest_wcc};
 pub use weights::WeightModel;
 
 /// Commonly used items.

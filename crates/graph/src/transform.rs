@@ -5,17 +5,6 @@ use crate::components::weakly_connected_components;
 use crate::csr::{Graph, NodeId};
 use crate::error::GraphError;
 
-/// The transpose `Gᵀ`: every edge `u -> v` becomes `v -> u`, keeping its
-/// probability. RR sets of `G` are forward-reachable sets of `Gᵀ`, which
-/// some test oracles exploit.
-pub fn transpose(g: &Graph) -> Graph {
-    let mut b = GraphBuilder::new(g.n());
-    for (u, v, p) in g.edges() {
-        b = b.add_weighted_edge(v, u, p);
-    }
-    b.build().expect("transposing a valid graph cannot fail")
-}
-
 /// The subgraph induced by `nodes` (deduplicated), with probabilities
 /// preserved. Returns the graph over compacted ids plus the mapping
 /// `new_id -> old_id`.
@@ -75,34 +64,6 @@ mod tests {
     use super::*;
     use crate::generators::path_graph;
     use crate::weights::WeightModel;
-
-    #[test]
-    fn transpose_reverses_edges() {
-        let g = path_graph(4, WeightModel::Wc);
-        let t = transpose(&g);
-        assert_eq!(t.m(), 3);
-        assert_eq!(t.out_neighbors(3), &[2]);
-        assert_eq!(t.in_degree(0), 1);
-        // Double transpose is the identity on the edge set.
-        let tt = transpose(&t);
-        let mut a: Vec<_> = g.edges().map(|(u, v, _)| (u, v)).collect();
-        let mut b: Vec<_> = tt.edges().map(|(u, v, _)| (u, v)).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn transpose_preserves_probabilities() {
-        let g = GraphBuilder::new(3)
-            .add_weighted_edge(0, 1, 0.3)
-            .add_weighted_edge(1, 2, 0.8)
-            .build()
-            .unwrap();
-        let t = transpose(&g);
-        assert_eq!(t.prob_of_edge(1, 0), Some(0.3));
-        assert_eq!(t.prob_of_edge(2, 1), Some(0.8));
-    }
 
     #[test]
     fn induced_subgraph_keeps_internal_edges() {

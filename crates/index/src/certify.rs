@@ -441,7 +441,7 @@ mod tests {
         let r1 = half(g, zn, chunks, seed);
         let r2 = half(g, zn, chunks, seed ^ R2_STREAM);
         let mut sketch = SketchedPool::new(g.n(), CHUNK, 8);
-        sketch.absorb_batch(0, &r2);
+        sketch.absorb_chunk_ids(&(0..chunks).collect::<Vec<_>>(), &r2);
         Pool { r1, r2, sketch, z }
     }
 

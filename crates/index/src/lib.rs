@@ -65,6 +65,7 @@ pub use index::{
 pub use pool::{for_each_arena, Arena, ChunkMap, Generated, PoolState};
 pub use snapshot::{read_index, write_index};
 pub use stats::{IndexCounters, QueryStats};
+pub use subsim_sketch::SketchedPool;
 pub use sync::{
     quantile_ns, ConcurrentRrIndex, IndexMetrics, LatencyHistogram, MetricsSnapshot,
     TenantCounters, TenantMetrics,

@@ -15,7 +15,6 @@
 //! - Serialization emits the canonical form directly, so equal pools
 //!   round-trip byte-identically (pinned by the proptest battery).
 
-use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 
 use subsim_diffusion::RrCollection;
@@ -53,6 +52,14 @@ pub struct ChunkSketch {
 impl ChunkSketch {
     /// Builds the canonical sub-sketch for `chunk_size` sets starting at
     /// `first_set` in `rr`, which hold global ids starting at `first_id`.
+    ///
+    /// The cost follows the chunk's `E` node appearances, not its distinct
+    /// nodes × `2^p`: each appearance packs into one `u64`
+    /// (`node << 32 | idx << 8 | rank`), one sort orders them by node,
+    /// register and rank, and the last entry of each (node, register) run
+    /// holds that register's max rank. That is O(E log E) time and `8E`
+    /// transient bytes at every precision; only a node with more than
+    /// `m / 2` occupied registers ever materializes its `m`-byte block.
     pub fn build(
         rr: &RrCollection,
         first_set: usize,
@@ -61,38 +68,45 @@ impl ChunkSketch {
         precision: u8,
     ) -> Self {
         let m = num_registers(precision);
-        let mut regs: BTreeMap<NodeId, Vec<u8>> = BTreeMap::new();
-        let mut nodes = 0u64;
-        for off in 0..chunk_size {
-            let (idx, rank) = hll::hash_set_id(first_id + off as u64, precision);
-            let set = rr.get(first_set + off);
-            nodes += set.len() as u64;
-            for &v in set {
-                let r = regs.entry(v).or_insert_with(|| vec![0u8; m]);
-                let slot = &mut r[idx as usize];
-                *slot = (*slot).max(rank);
-            }
+        let sets = first_set..first_set + chunk_size;
+        let appearances = sets.clone().map(|i| rr.get(i).len()).sum();
+        let mut packed: Vec<u64> = Vec::with_capacity(appearances);
+        for (id, i) in (first_id..).zip(sets) {
+            let (idx, rank) = hll::hash_set_id(id, precision);
+            let reg = u64::from(idx) << 8 | u64::from(rank);
+            packed.extend(rr.get(i).iter().map(|&v| u64::from(v) << 32 | reg));
         }
+        packed.sort_unstable();
+        // Keep the last, i.e. max-rank, entry of every (node, register) run.
+        packed.dedup_by(|next, kept| {
+            let same = *next >> 8 == *kept >> 8;
+            if same {
+                *kept = *next;
+            }
+            same
+        });
         let mut out = ChunkSketch {
-            exact_bytes: 4 * nodes + 8 * chunk_size as u64,
+            exact_bytes: 4 * appearances as u64 + 8 * chunk_size as u64,
             sparse_keys: Vec::new(),
             sparse_offsets: vec![0],
             sparse_entries: Vec::new(),
             dense_keys: Vec::new(),
             dense_regs: Vec::new(),
         };
-        for (v, r) in regs {
-            let occupied = r.iter().filter(|&&x| x != 0).count();
-            if occupied > m / 2 {
+        for regs in packed.chunk_by(|a, b| a >> 32 == b >> 32) {
+            let v = (regs[0] >> 32) as NodeId;
+            let entries = regs.iter().map(|&e| ((e >> 8) as u16, e as u8));
+            if regs.len() > m / 2 {
                 out.dense_keys.push(v);
-                out.dense_regs.extend_from_slice(&r);
+                let base = out.dense_regs.len();
+                out.dense_regs.resize(base + m, 0);
+                for (idx, rank) in entries {
+                    out.dense_regs[base + idx as usize] = rank;
+                }
             } else {
                 out.sparse_keys.push(v);
-                for (idx, &rank) in r.iter().enumerate() {
-                    if rank != 0 {
-                        out.sparse_entries.push(pack_entry(idx as u16, rank));
-                    }
-                }
+                out.sparse_entries
+                    .extend(entries.map(|(idx, rank)| pack_entry(idx, rank)));
                 out.sparse_offsets.push(out.sparse_entries.len() as u32);
             }
         }
@@ -214,35 +228,6 @@ impl SketchedPool {
         hll::rel_std_error(self.precision)
     }
 
-    /// Absorbs a freshly generated batch of whole chunks whose first
-    /// global chunk id is `first_chunk`. `rr` must hold an exact multiple
-    /// of `chunk_size` sets. Panics if a chunk id is already present.
-    pub fn absorb_batch(&mut self, first_chunk: u64, rr: &RrCollection) {
-        assert_eq!(
-            rr.graph_n(),
-            self.graph_n,
-            "batch is over a different graph"
-        );
-        assert_eq!(rr.len() % self.chunk_size, 0, "batch is not whole chunks");
-        for c in 0..rr.len() / self.chunk_size {
-            let chunk_id = first_chunk + c as u64;
-            let sketch = ChunkSketch::build(
-                rr,
-                c * self.chunk_size,
-                self.chunk_size,
-                chunk_id * self.chunk_size as u64,
-                self.precision,
-            );
-            match self.chunk_ids.binary_search(&chunk_id) {
-                Ok(_) => panic!("chunk {chunk_id} already sketched"),
-                Err(pos) => {
-                    self.chunk_ids.insert(pos, chunk_id);
-                    self.chunks.insert(pos, sketch);
-                }
-            }
-        }
-    }
-
     /// Absorbs freshly generated whole chunks with explicit (possibly
     /// non-contiguous) global ids, in batch order: sets
     /// `j*chunk_size..(j+1)*chunk_size` of `rr` belong to chunk `ids[j]`
@@ -260,13 +245,7 @@ impl SketchedPool {
             "batch must hold exactly one chunk per id"
         );
         for (j, &chunk_id) in ids.iter().enumerate() {
-            let sketch = ChunkSketch::build(
-                rr,
-                j * self.chunk_size,
-                self.chunk_size,
-                chunk_id * self.chunk_size as u64,
-                self.precision,
-            );
+            let sketch = self.build_chunk(chunk_id, rr, j * self.chunk_size);
             match self.chunk_ids.binary_search(&chunk_id) {
                 Ok(_) => panic!("chunk {chunk_id} already sketched"),
                 Err(pos) => {
@@ -290,13 +269,14 @@ impl SketchedPool {
             .chunk_ids
             .binary_search(&chunk_id)
             .unwrap_or_else(|_| panic!("chunk {chunk_id} not sketched"));
-        self.chunks[pos] = ChunkSketch::build(
-            rr,
-            first_set,
-            self.chunk_size,
-            chunk_id * self.chunk_size as u64,
-            self.precision,
-        );
+        self.chunks[pos] = self.build_chunk(chunk_id, rr, first_set);
+    }
+
+    /// Chunk `chunk_id`'s sub-sketch, built from the `chunk_size` sets
+    /// starting at `first_set` in `rr`.
+    fn build_chunk(&self, chunk_id: u64, rr: &RrCollection, first_set: usize) -> ChunkSketch {
+        let first_id = chunk_id * self.chunk_size as u64;
+        ChunkSketch::build(rr, first_set, self.chunk_size, first_id, self.precision)
     }
 
     /// Global ids of chunks whose key set intersects `targets` — exactly
@@ -566,13 +546,19 @@ mod tests {
     use super::*;
     use crate::hll::DEFAULT_PRECISION;
 
+    /// Absorbs all of `rr` as chunks `0, 1, …` of `pool`.
+    fn absorb_all(pool: &mut SketchedPool, rr: &RrCollection) {
+        let ids: Vec<u64> = (0..(rr.len() / pool.chunk_size()) as u64).collect();
+        pool.absorb_chunk_ids(&ids, rr);
+    }
+
     fn pool_with(sets: &[&[NodeId]], chunk_size: usize, n: usize, p: u8) -> SketchedPool {
         let mut rr = RrCollection::new(n);
         for s in sets {
             rr.push(s);
         }
         let mut pool = SketchedPool::new(n, chunk_size, p);
-        pool.absorb_batch(0, &rr);
+        absorb_all(&mut pool, &rr);
         pool
     }
 
@@ -605,7 +591,7 @@ mod tests {
             }
         }
         let mut pool = SketchedPool::new(n, chunk, 8);
-        pool.absorb_batch(0, &rr);
+        absorb_all(&mut pool, &rr);
         let est_all = pool.estimate_union(&[0]);
         let est_half = pool.estimate_union(&[1]);
         let sigma = pool.rel_std_error();
@@ -631,7 +617,7 @@ mod tests {
             rr.push(&[i % 128, (i * 7) % 128, (i * 13) % 128]);
         }
         let mut pool = SketchedPool::new(n, chunk, 6);
-        pool.absorb_batch(0, &rr);
+        absorb_all(&mut pool, &rr);
         for shards in [1usize, 2, 3, 5] {
             let parts = pool.split(shards);
             let mut merged = SketchedPool::new(n, chunk, 6);
@@ -685,7 +671,7 @@ mod tests {
             rr.push(&[i, i + 1, (i * 3) % 32]);
         }
         let mut pool = SketchedPool::new(n, 4, DEFAULT_PRECISION);
-        pool.absorb_batch(0, &rr);
+        absorb_all(&mut pool, &rr);
         let reference = pool.clone();
         // Rebuild chunk 1 from the same content laid out at offset 4.
         pool.replace_chunk(1, &rr, 4);
@@ -704,7 +690,7 @@ mod tests {
             rr.push(&hubs);
         }
         let mut pool = SketchedPool::new(n, chunk, DEFAULT_PRECISION);
-        pool.absorb_batch(0, &rr);
+        absorb_all(&mut pool, &rr);
         assert!(
             pool.resident_bytes() * 4 <= pool.displaced_exact_bytes(),
             "resident={} exact={}",
