@@ -25,12 +25,14 @@ type Overlay = HashMap<(NodeId, NodeId), Option<f64>>;
 ///
 /// - **Fixed node set** — deltas mutate edges only, so RR roots keep
 ///   drawing from the same `0..n` range at every version.
-/// - **Normalized storage** — the graph is rebuilt through explicit
-///   per-edge weights at construction and after every delta, so RR
+/// - **Normalized storage** — the graph carries explicit per-edge
+///   weights: per-node rates are expanded into per-edge storage at
+///   construction, and every delta rebuilds through them, so RR
 ///   generation always takes the per-edge sampler path and consumes the
 ///   same RNG stream shape across versions. (Normalization preserves the
 ///   fingerprint: edge triples are unchanged, only the storage
-///   representation is.)
+///   representation is. A version without edges has no weights to carry
+///   and keeps the builder's plain storage.)
 /// - **Versioned fingerprint** — every applied delta bumps `version` and
 ///   recomputes the [`graph_fingerprint`], so stale snapshots are
 ///   detected structurally, not by timestamps.
@@ -74,24 +76,24 @@ fn check_prob(p: f64) -> Result<(), DeltaError> {
 /// Rebuilds a CSR from `base` with `overlay` applied, through explicit
 /// per-edge weights (the normalized storage form).
 fn rebuild(base: &Graph, overlay: &Overlay) -> Result<Graph, GraphError> {
+    // Base edges take their overlay entry (tombstone or reweight); the
+    // entries left over are inserts, appended in `(u, v)` order.
     let mut leftover = overlay.clone();
-    let mut b = GraphBuilder::new(base.n()).keep_self_loops(true);
-    for (u, v, p) in base.edges() {
-        match leftover.remove(&(u, v)) {
-            Some(Some(p2)) => b = b.add_weighted_edge(u, v, p2),
-            Some(None) => {}
-            None => b = b.add_weighted_edge(u, v, p),
-        }
-    }
+    let kept = base
+        .edges()
+        .filter_map(|(u, v, p)| match leftover.remove(&(u, v)) {
+            Some(entry) => entry.map(|p2| (u, v, p2)),
+            None => Some((u, v, p)),
+        });
+    let b = GraphBuilder::new(base.n())
+        .keep_self_loops(true)
+        .weighted_edges(kept);
     let mut inserts: Vec<(NodeId, NodeId, f64)> = leftover
         .into_iter()
         .filter_map(|((u, v), p)| p.map(|p| (u, v, p)))
         .collect();
     inserts.sort_unstable_by_key(|&(u, v, _)| (u, v));
-    for (u, v, p) in inserts {
-        b = b.add_weighted_edge(u, v, p);
-    }
-    b.build()
+    b.weighted_edges(inserts).build()
 }
 
 impl VersionedGraph {
@@ -105,13 +107,20 @@ impl VersionedGraph {
     /// (minimum 1: every delta compacts).
     pub fn with_compaction_threshold(g: Graph, threshold: usize) -> Result<Self, DeltaError> {
         assert!(threshold > 0, "compaction threshold must be at least 1");
-        let base = rebuild(&g, &Overlay::new())?;
+        let fingerprint = graph_fingerprint(&g);
+        // Expanding per-node rates in place gives what a rebuild would; an
+        // edgeless graph has none and rebuilds to the builder's plain
+        // storage, as a delta that deletes every edge does.
+        let base = if g.m() == 0 {
+            rebuild(&g, &Overlay::new())?
+        } else {
+            g.with_per_edge_weights()
+        };
         debug_assert_eq!(
             graph_fingerprint(&base),
-            graph_fingerprint(&g),
+            fingerprint,
             "storage normalization must preserve the fingerprint"
         );
-        let fingerprint = graph_fingerprint(&base);
         let current = Arc::new(base.clone());
         Ok(VersionedGraph {
             base,
@@ -222,7 +231,7 @@ impl VersionedGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use subsim_graph::generators::cycle_graph;
+    use subsim_graph::generators::{barabasi_albert, cycle_graph, rmat};
     use subsim_graph::WeightModel;
 
     /// Edges are exactly `i -> (i+1) % 60`, so any other pair is known
@@ -239,6 +248,74 @@ mod tests {
         assert_eq!(vg.fingerprint(), before);
         assert_eq!(vg.version(), 0);
         assert!(!vg.graph().has_uniform_in_probs(), "storage not normalized");
+    }
+
+    /// Every CSR array of `g`, whether it stores probabilities per edge,
+    /// and the probabilities as IEEE-754 bits.
+    type Arrays = (Vec<Vec<NodeId>>, Vec<usize>, Vec<NodeId>, bool, Vec<u64>);
+
+    fn arrays(g: &Graph) -> Arrays {
+        let out = (0..g.n() as NodeId)
+            .map(|u| g.out_neighbors(u).to_vec())
+            .collect();
+        let probs = g.per_edge_in_probs().or(g.uniform_in_probs()).unwrap();
+        (
+            out,
+            g.in_csr_offsets().to_vec(),
+            g.in_csr_sources().to_vec(),
+            !g.has_uniform_in_probs(),
+            probs.iter().map(|p| p.to_bits()).collect(),
+        )
+    }
+
+    #[test]
+    fn expanded_normalization_equals_a_rebuild() {
+        let looped = GraphBuilder::new(4)
+            .edges([(0, 0), (1, 0), (2, 0), (0, 1), (3, 3)])
+            .keep_self_loops(true)
+            .build()
+            .unwrap();
+        let per_edge = barabasi_albert(300, 3, WeightModel::Exponential { lambda: 1.0 }, 5);
+        for g in [
+            barabasi_albert(300, 3, WeightModel::Wc, 5),
+            barabasi_albert(300, 3, WeightModel::WcVariant { theta: 4.0 }, 5),
+            rmat(10, 8192, WeightModel::Wc, 3),
+            looped,
+            per_edge.clone(),
+            GraphBuilder::new(5).build().unwrap(),
+            GraphBuilder::new(5)
+                .weights(WeightModel::UniformIc { p: 0.3 })
+                .build()
+                .unwrap(),
+        ] {
+            let rebuilt = rebuild(&g, &Overlay::new()).unwrap();
+            let normalized = VersionedGraph::new(g).unwrap();
+            assert_eq!(arrays(normalized.graph()), arrays(&rebuilt));
+            assert_eq!(normalized.fingerprint(), graph_fingerprint(&rebuilt));
+        }
+        assert_eq!(
+            arrays(&per_edge.clone().with_per_edge_weights()),
+            arrays(&per_edge),
+            "per-edge storage passes through unchanged"
+        );
+    }
+
+    /// Deleting every edge leaves the builder's plain storage of an
+    /// edgeless graph; the next insert is per-edge again.
+    #[test]
+    fn deleting_every_edge_leaves_plain_storage() {
+        let g = cycle_graph(4, WeightModel::Wc);
+        let mut vg = VersionedGraph::new(g).unwrap();
+        let mut all = GraphDelta::new();
+        for u in 0..4 {
+            all = all.delete_edge(u, (u + 1) % 4);
+        }
+        vg.apply(&all).unwrap();
+        let edgeless = GraphBuilder::new(4).build().unwrap();
+        assert_eq!(arrays(vg.graph()), arrays(&edgeless));
+        vg.apply(&GraphDelta::new().insert_edge(2, 0, 0.5)).unwrap();
+        assert!(!vg.graph().has_uniform_in_probs());
+        assert_eq!(vg.graph().prob_of_edge(2, 0), Some(0.5));
     }
 
     #[test]

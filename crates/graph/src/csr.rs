@@ -213,6 +213,30 @@ impl Graph {
         })
     }
 
+    /// This graph with its weights in per-edge storage: each in-edge of
+    /// `v` carries `v`'s per-node rate, and the CSR arrays are kept as
+    /// they are. A graph that already stores per-edge probabilities is
+    /// returned unchanged. O(m).
+    ///
+    /// On a graph with edges this equals rebuilding it through explicit
+    /// per-edge weights: the builder lists each in-segment by ascending
+    /// source, and the descending-probability sort leaves a segment of
+    /// equal rates alone.
+    pub fn with_per_edge_weights(self) -> Graph {
+        let EdgeWeights::Uniform(per_node) = &self.weights else {
+            return self;
+        };
+        let mut probs = Vec::with_capacity(self.in_sources.len());
+        for (v, w) in self.in_offsets.windows(2).enumerate() {
+            debug_assert!(self.in_sources[w[0]..w[1]].windows(2).all(|s| s[0] < s[1]));
+            probs.resize(w[1], per_node[v]);
+        }
+        Graph {
+            weights: EdgeWeights::PerEdge(probs),
+            ..self
+        }
+    }
+
     /// Validates that every probability lies in `[0, 1]`.
     pub fn validate(&self) -> Result<(), GraphError> {
         if self.n == 0 {

@@ -102,6 +102,9 @@ pub fn erdos_renyi_gnm(n: usize, m: usize, model: WeightModel, seed: u64) -> Gra
 /// `(a, b, c, d) = (0.57, 0.19, 0.19, 0.05)` follow the Graph500 spec;
 /// duplicates and self-loops are dropped, so the realized edge count may
 /// be slightly below `m`.
+///
+/// Cost: O(m · scale) for the draw (two uniforms and three comparisons
+/// per level, no branch) plus one [`GraphBuilder::build`].
 pub fn rmat(scale: u32, m: usize, model: WeightModel, seed: u64) -> Graph {
     rmat_with(scale, m, 0.57, 0.19, 0.19, model, seed)
 }
@@ -129,18 +132,11 @@ fn rmat_with(scale: u32, m: usize, a: f64, b: f64, c: f64, model: WeightModel, s
             let cc = c * noise;
             let total = aa + bb + cc + (1.0 - a - b - c) * noise;
             let r = r * total;
-            u <<= 1;
-            v <<= 1;
-            if r < aa {
-                // top-left
-            } else if r < aa + bb {
-                v |= 1;
-            } else if r < aa + bb + cc {
-                u |= 1;
-            } else {
-                u |= 1;
-                v |= 1;
-            }
+            // Quadrants a, b, c, d are (0, 0), (0, 1), (1, 0), (1, 1);
+            // three comparisons pick one without a branch.
+            let (ge_a, ge_ab, ge_abc) = (r >= aa, r >= aa + bb, r >= aa + bb + cc);
+            u = u << 1 | ge_ab as usize;
+            v = v << 1 | ((ge_a ^ ge_ab) | ge_abc) as usize;
         }
         if u != v {
             edges.push((u as NodeId, v as NodeId));

@@ -44,9 +44,8 @@ impl EdgeList {
             .keep_self_loops(true);
         match self.probs {
             Some(probs) => {
-                for (&(u, v), &p) in self.edges.iter().zip(&probs) {
-                    b = b.add_weighted_edge(u, v, p);
-                }
+                let edges = self.edges.into_iter().zip(probs);
+                b = b.weighted_edges(edges.map(|((u, v), p)| (u, v, p)));
             }
             None => {
                 b = b.edges(self.edges);

@@ -30,22 +30,14 @@ pub fn induced_subgraph(g: &Graph, nodes: &[NodeId]) -> Result<(Graph, Vec<NodeI
     if old_of_new.is_empty() {
         return Err(GraphError::EmptyGraph);
     }
-    let mut b = GraphBuilder::new(old_of_new.len());
-    let mut any_edge = false;
-    for (u, v, p) in g.edges() {
-        if keep[u as usize] && keep[v as usize] {
-            b = b.add_weighted_edge(new_of_old[u as usize], new_of_old[v as usize], p);
-            any_edge = true;
-        }
-    }
-    if !any_edge {
-        // GraphBuilder with custom probs needs at least zero edges — fine;
-        // but an edgeless builder with custom_probs=None is what we get,
-        // so just build a plain empty graph.
-        let g2 = GraphBuilder::new(old_of_new.len()).build()?;
-        return Ok((g2, old_of_new));
-    }
-    Ok((b.build()?, old_of_new))
+    let edges = g
+        .edges()
+        .filter(|&(u, v, _)| keep[u as usize] && keep[v as usize])
+        .map(|(u, v, p)| (new_of_old[u as usize], new_of_old[v as usize], p));
+    let sub = GraphBuilder::new(old_of_new.len())
+        .weighted_edges(edges)
+        .build()?;
+    Ok((sub, old_of_new))
 }
 
 /// Restricts `g` to its largest weakly connected component. Returns the

@@ -196,18 +196,36 @@ where
 
 /// Sorts each node's in-edge segment by descending probability, keeping
 /// `in_sources` aligned — the precondition of the index-free sampler.
-fn sort_segments_desc(in_offsets: &[usize], in_sources: &mut [NodeId], probs: &mut [f64]) {
-    for v in 0..in_offsets.len() - 1 {
-        let (lo, hi) = (in_offsets[v], in_offsets[v + 1]);
-        if hi - lo < 2 {
+///
+/// The sort is stable under `total_cmp`, so segments that are already
+/// non-increasing are skipped unchanged; one scratch buffer serves every
+/// segment.
+pub(crate) fn sort_segments_desc(
+    in_offsets: &[usize],
+    in_sources: &mut [NodeId],
+    probs: &mut [f64],
+) {
+    let mut scratch: Vec<(f64, NodeId)> = Vec::new();
+    for w in in_offsets.windows(2) {
+        let (lo, hi) = (w[0], w[1]);
+        if probs[lo..hi]
+            .windows(2)
+            .all(|p| p[0].total_cmp(&p[1]).is_ge())
+        {
             continue;
         }
-        let mut order: Vec<usize> = (0..hi - lo).collect();
-        order.sort_by(|&a, &b| probs[lo + b].total_cmp(&probs[lo + a]));
-        let src: Vec<NodeId> = order.iter().map(|&i| in_sources[lo + i]).collect();
-        let pr: Vec<f64> = order.iter().map(|&i| probs[lo + i]).collect();
-        in_sources[lo..hi].copy_from_slice(&src);
-        probs[lo..hi].copy_from_slice(&pr);
+        scratch.clear();
+        scratch.extend(
+            probs[lo..hi]
+                .iter()
+                .copied()
+                .zip(in_sources[lo..hi].iter().copied()),
+        );
+        scratch.sort_by(|a, b| b.0.total_cmp(&a.0));
+        for (k, &(p, s)) in scratch.iter().enumerate() {
+            probs[lo + k] = p;
+            in_sources[lo + k] = s;
+        }
     }
 }
 

@@ -41,7 +41,7 @@ pub fn graph_fingerprint(g: &Graph) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use subsim_graph::generators::{barabasi_albert, star_graph};
+    use subsim_graph::generators::{barabasi_albert, erdos_renyi_gnm, rmat, star_graph};
     use subsim_graph::WeightModel;
 
     #[test]
@@ -61,6 +61,25 @@ mod tests {
         assert_ne!(graph_fingerprint(&a), graph_fingerprint(&other_seed));
         assert_ne!(graph_fingerprint(&a), graph_fingerprint(&other_model));
         assert_ne!(graph_fingerprint(&a), graph_fingerprint(&other_size));
+    }
+
+    /// Every generator's `(n, m, fingerprint)` is pinned: a change to
+    /// the builder or a generator that moves one edge or one probability
+    /// bit fails here. The R-MAT pins are the benchmark's `pokec-s`
+    /// graphs.
+    #[test]
+    fn generators_are_pinned() {
+        let pinned = |g: &subsim_graph::Graph| (g.n(), g.m(), graph_fingerprint(g));
+        for model in [WeightModel::Wc, WeightModel::Lt] {
+            let g = rmat(14, 16384 * 19, model, 1);
+            assert_eq!(pinned(&g), (16384, 266977, 0x1913_e5b6_9b08_b90e));
+        }
+        let g = rmat(14, 16384 * 19, WeightModel::WcVariant { theta: 4.0 }, 1);
+        assert_eq!(pinned(&g), (16384, 266977, 0x13d0_3e4a_4d64_a7a6));
+        let g = barabasi_albert(2000, 4, WeightModel::Wc, 7);
+        assert_eq!(pinned(&g), (2000, 15980, 0xf679_d044_c0bc_e2ee));
+        let g = erdos_renyi_gnm(2000, 20000, WeightModel::Wc, 3);
+        assert_eq!(pinned(&g), (2000, 20000, 0xe872_b322_e364_9a92));
     }
 
     #[test]
